@@ -7,15 +7,8 @@ import sys
 import time
 
 from quiverperiod import verify_theorem
+from quiverperiod.cli import SECTIONS
 from quiverperiod.reductions import SECTION_TAGS, verify_section
-
-THEOREM_RUNS = [
-    ("N3", dict(max_param=3, search_bound=3)),
-    ("N4", dict(max_param=2, search_bound=2)),
-    ("N5_1cycle", dict(max_param=3)),
-    ("N5_other", dict(max_param=3)),
-    ("N6", dict(max_param=3, search_bound=2)),
-]
 
 
 def main() -> int:
@@ -26,30 +19,26 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+
+    def reports():
+        for name, max_param, bound in SECTIONS.values():
+            yield verify_theorem(name, max_param, search_bound=bound)
+        for tag in SECTION_TAGS:
+            yield verify_section(tag, seeds=args.dynamics_seeds, horizon=args.horizon, rng=rng)
+
     failures = 0
     print(f"random seed: {args.seed}")
-    for name, kwargs in THEOREM_RUNS:
-        t0 = time.monotonic()
-        report = verify_theorem(name, **kwargs)
-        bad = [r for r in report.rows if not r.ok]
+    t0 = time.monotonic()
+    for report in reports():
+        bad = [line for line in report.lines() if line.startswith("[FAIL]")]
         failures += len(bad)
         print(
-            f"{name:12s} {len(report.rows):4d} checks "
+            f"{report.name:12s} {len(report.rows):4d} checks "
             f"{len(bad):3d} failed  {time.monotonic() - t0:6.1f}s"
         )
-        for r in bad:
-            print(f"    FAIL {r.label}  {r.detail}")
-    for tag in SECTION_TAGS:
+        for line in bad:
+            print(f"    {line}")
         t0 = time.monotonic()
-        report = verify_section(tag, seeds=args.dynamics_seeds, horizon=args.horizon, rng=rng)
-        bad = [r for r in report.rows if not r.ok]
-        failures += len(bad)
-        print(
-            f"{tag:12s} {len(report.rows):4d} checks "
-            f"{len(bad):3d} failed  {time.monotonic() - t0:6.1f}s"
-        )
-        for r in bad:
-            print(f"    FAIL {r.label}  {r.detail}")
     print("all green" if failures == 0 else f"{failures} failures")
     return 0 if failures == 0 else 1
 

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import families, formats, reductions
-from .cluster import Seed, run_orbit
+from .cluster import OrbitTrace, run_orbit
 from .quiver import (
     ONE_CYCLE,
     TWO_CYCLE,
@@ -23,19 +23,16 @@ from .quiver import (
     QuiverError,
     is_connected,
     is_period1,
-    is_period2,
     mutate,
 )
+from .report import Report
 from .search import SearchJob, residual_report, search
 from .systems import (
     BUILTIN_TEMPLATES,
     SystemSpec,
-    check_TZ_condition,
     extract_system,
-    initial_window_from_seed,
     iterate_system,
     parse_template,
-    required_window,
     verify_periodic,
 )
 
@@ -44,6 +41,15 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
 _SHAPES = {"1cycle": ONE_CYCLE, "2cycle": TWO_CYCLE}
+
+# reproduction settings per section: (theorem, max parameter, search bound)
+SECTIONS = {
+    "thm3": ("N3", 3, 3),
+    "thm4": ("N4", 2, 2),
+    "thm5": ("N5_1cycle", 3, None),
+    "thm6": ("N5_other", 3, None),
+    "thm7": ("N6", 3, 2),
+}
 
 
 class CliError(Exception):
@@ -142,33 +148,30 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
+    theorem = SECTIONS[args.name][0] if args.name in SECTIONS else args.name
     report = families.verify_theorem(
-        args.name_mapped, args.max_param, search_bound=args.bound, jobs=_default_jobs()
+        theorem, args.max_param, search_bound=args.bound, jobs=_default_jobs()
     )
     if args.format == "structured":
-        payload = {
-            "theorem": report.theorem,
-            "ok": report.ok,
-            "checks": [
-                {"label": r.label, "ok": r.ok, "detail": r.detail} for r in report.rows
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"theorem": report.name, **report.to_dict()}, indent=2))
     else:
         for line in report.lines():
             print(line)
-        print(f"{'OK' if report.ok else 'FAILED'}: {report.theorem}")
+        print(f"{'OK' if report.ok else 'FAILED'}: {report.name}")
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def _parse_window(text: str) -> dict[str, list]:
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise CliError("initial window must be an object with 'z' and 'y' lists")
-    out = {}
-    for name in ("z", "y"):
-        out[name] = [Fraction(v) for v in data.get(name, [])]
-    return out
+def _parse_window(path: str) -> dict[str, list]:
+    """A JSON object with 'z' and 'y' lists of rationals, read from path."""
+    try:
+        data = json.loads(_read_text(path))
+        if not isinstance(data, dict) or not all(
+            isinstance(data.get(name, []), list) for name in ("z", "y")
+        ):
+            raise ValueError("expected an object with 'z' and 'y' lists")
+        return {name: [Fraction(v) for v in data.get(name, [])] for name in ("z", "y")}
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise CliError(f"{path}: {exc}")
 
 
 def cmd_tsys_extract(args) -> int:
@@ -188,35 +191,17 @@ def cmd_tsys_extract(args) -> int:
 def cmd_tsys_iterate(args) -> int:
     try:
         sys_spec = SystemSpec.from_dict(json.loads(_read_text(args.system)))
-    except (json.JSONDecodeError, QuiverError, KeyError) as exc:
+    except (ValueError, TypeError, AttributeError, KeyError, QuiverError) as exc:
         raise CliError(f"{args.system}: {exc}")
-    try:
-        window = _parse_window(_read_text(args.init))
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise CliError(f"{args.init}: {exc}")
-    Z = None
-    if args.z:
-        try:
-            Z = _parse_window(_read_text(args.z))
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise CliError(f"{args.z}: {exc}")
+    window = _parse_window(args.init)
+    Z = _parse_window(args.z) if args.z else None
     try:
         seqs = iterate_system(sys_spec, window, args.steps, Z=Z)
     except (QuiverError, ZeroDivisionError) as exc:
         raise CliError(str(exc), code=EXIT_VERIFY)
-    out = {
-        "format": "quiverperiod/trace-v1",
-        "n": sys_spec.spec.n,
-        "shape": sys_spec.spec.shape,
-        "k": sys_spec.spec.k,
-        "b": [list(r) for r in sys_spec.B0.rows],
-        "steps": 2 * args.steps,
-        "z": [formats._frac_str(v) for v in seqs["z"]],
-        "y": [formats._frac_str(v) for v in seqs["y"]],
-        "A": [],
-        "B": [],
-    }
-    print(json.dumps(out))
+    seqs.update(A=[], B=[])
+    trace = OrbitTrace(sys_spec.spec, sys_spec.B0, 2 * args.steps, seqs)
+    print(formats.trace_to_json(trace))
     return EXIT_OK
 
 
@@ -254,62 +239,28 @@ def cmd_tsys_somos(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-_SECTION_NAMES = {
-    "thm3": "N3",
-    "thm4": "N4",
-    "thm5": "N5_1cycle",
-    "thm6": "N5_other",
-    "thm7": "N6",
-}
-
-_SECTION_BOUND = {"thm3": 3, "thm4": 2, "thm7": 2}
-_SECTION_MAXPARAM = {"thm3": 3, "thm4": 2, "thm5": 3, "thm6": 3, "thm7": 3}
-
-
 def cmd_reproduce(args) -> int:
     section = args.section
     rng = random.Random(args.seed)
     print(f"# section {section} (seed {args.seed})")
-    rows = []
     if section == "sec8":
+        report = Report(section)
         for tag in reductions.SECTION_TAGS:
             rep = reductions.verify_section(tag, seeds=3, horizon=30, rng=rng)
-            rows.extend(rep.rows)
+            report.rows.extend(rep.rows)
     else:
-        if section not in _SECTION_NAMES:
-            raise CliError(
-                f"unknown section {section!r}; expected thm3..thm7 or sec8"
-            )
+        theorem, max_param, bound = SECTIONS[section]
         report = families.verify_theorem(
-            _SECTION_NAMES[section],
-            _SECTION_MAXPARAM[section],
-            search_bound=_SECTION_BOUND.get(section),
-            jobs=_default_jobs(),
+            theorem, max_param, search_bound=bound, jobs=_default_jobs()
         )
-        rows = report.rows
-    ok = all(r.ok for r in rows)
     if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "section": section,
-                    "seed": args.seed,
-                    "ok": ok,
-                    "checks": [
-                        {"label": r.label, "ok": r.ok, "detail": r.detail}
-                        for r in rows
-                    ],
-                },
-                indent=2,
-            )
-        )
+        payload = {"section": section, "seed": args.seed, **report.to_dict()}
+        print(json.dumps(payload, indent=2))
     else:
-        for r in rows:
-            mark = "PASS" if r.ok else "FAIL"
-            detail = f"  ({r.detail})" if r.detail else ""
-            print(f"[{mark}] {r.label}{detail}")
-        print(f"{'OK' if ok else 'FAILED'}: {len(rows)} checks")
-    return EXIT_OK if ok else EXIT_VERIFY
+        for line in report.lines():
+            print(line)
+        print(f"{'OK' if report.ok else 'FAILED'}: {len(report.rows)} checks")
+    return EXIT_OK if report.ok else EXIT_VERIFY
 
 
 def cmd_orbit(args) -> int:
@@ -363,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify-theorem", help="re-check one classification")
-    p.add_argument("--name", required=True, choices=sorted(_SECTION_NAMES) + sorted(families.THEOREMS))
+    p.add_argument("--name", required=True, choices=sorted(SECTIONS) + sorted(families.THEOREMS))
     p.add_argument("--max-param", required=True, type=int)
     p.add_argument("--bound", type=int, help="also run the search completeness check")
     p.add_argument("--format", choices=["text", "structured"], default="text")
@@ -409,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("reproduce", help="run one verification section")
-    p.add_argument("section", choices=["thm3", "thm4", "thm5", "thm6", "thm7", "sec8"])
+    p.add_argument("section", choices=[*SECTIONS, "sec8"])
     p.add_argument("--seed", type=int, default=0, help="random seed for randomized checks")
     p.add_argument("--format", choices=["text", "structured"], default="text")
     p.set_defaults(func=cmd_reproduce)
@@ -423,16 +374,22 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "check" and not args.period1:
         if args.k is None:
             parser.error("--k is required with --shape")
-    if getattr(args, "command", None) == "verify-theorem":
-        args.name_mapped = _SECTION_NAMES.get(args.name, args.name)
+    # exact values and traces routinely exceed the default 4300-digit limit
+    # on int/str conversion (Python 3.11+); lift it for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except QuiverError as exc:
+    except (QuiverError, formats.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

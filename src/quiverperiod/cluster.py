@@ -331,7 +331,6 @@ def _exact_div(p_terms: dict, d_terms: dict, nvars: int, zero: int, integral: bo
     rem = dict(p_terms)
     heap = [(order(e), e) for e in rem]
     heapq.heapify(heap)
-    mask_ok = zero  # packed all-zero exponent; diffs below it are negative
     quo: dict = {}
     while rem:
         while heap and heap[0][1] not in rem:

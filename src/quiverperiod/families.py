@@ -23,6 +23,7 @@ from .quiver import (
     mutate,
     mu1_partner,
 )
+from .report import Report, Row
 
 THEOREMS = ("N3", "N4", "N5_1cycle", "N5_other", "N6")
 
@@ -60,10 +61,7 @@ class Family:
             lo = self.param_min.get(name, 0)
             if value < lo:
                 raise QuiverError(f"family {self.key}: parameter {name}={value} < {lo}")
-        entries = self.build(**params)
-        if any(weight < 0 for weight in entries.values() if isinstance(weight, bool)):
-            raise QuiverError("negative arrow weight")
-        return ExchangeMatrix.from_entries(self.spec.n, dict(entries))
+        return ExchangeMatrix.from_entries(self.spec.n, dict(self.build(**params)))
 
 
 def _spec(n, shape, k):
@@ -264,34 +262,6 @@ def expected_search_set(
     return out
 
 
-@dataclass
-class ReportRow:
-    label: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class TheoremReport:
-    theorem: str
-    rows: list[ReportRow] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    def add(self, label: str, ok: bool, detail: str = ""):
-        self.rows.append(ReportRow(label, ok, detail))
-
-    def lines(self) -> list[str]:
-        out = []
-        for r in self.rows:
-            mark = "PASS" if r.ok else "FAIL"
-            suffix = f"  ({r.detail})" if r.detail else ""
-            out.append(f"[{mark}] {r.label}{suffix}")
-        return out
-
-
 # (quiver A, vertex-1 mutation) -> quiver B companions stated for the 5-vertex
 # one-cycle classification, checked by exhaustive relabeling search.
 _PAIRING_CLAIMS = [
@@ -300,7 +270,7 @@ _PAIRING_CLAIMS = [
 ]
 
 
-def _check_pairing(src_key: str, dst_key: str, max_param: int) -> list[ReportRow]:
+def _check_pairing(src_key: str, dst_key: str, max_param: int) -> list[Row]:
     rows = []
     src = FAMILY_BY_KEY[src_key]
     dst = FAMILY_BY_KEY[dst_key]
@@ -312,7 +282,7 @@ def _check_pairing(src_key: str, dst_key: str, max_param: int) -> list[ReportRow
                 found = dst_fid
                 break
         rows.append(
-            ReportRow(
+            Row(
                 f"mu_1({fid}) relabels to an instance of {dst_key}",
                 found is not None,
                 str(found) if found else "no relabeling found",
@@ -326,7 +296,7 @@ def verify_theorem(
     max_param: int,
     search_bound: int | None = None,
     jobs: int = 1,
-) -> TheoremReport:
+) -> Report:
     """Instantiate every family of one classification and re-check it.
 
     Every instance must satisfy its period-2 equation; with search_bound set,
@@ -336,7 +306,7 @@ def verify_theorem(
     """
     from .search import SearchJob, search
 
-    report = TheoremReport(theorem)
+    report = Report(theorem)
     fams = families_of(theorem)
     for fam in fams:
         for fid, B in iter_instances(fam, max_param):

@@ -69,7 +69,7 @@ def _frac_str(v) -> str:
 def _parse_frac(s, where: str) -> Fraction:
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {s!r} in {where}: {exc}")
 
 
@@ -129,9 +129,17 @@ def trace_from_dict(data: dict) -> OrbitTrace:
     if data.get("format") != TRACE_FORMAT:
         raise FormatError(f"expected format {TRACE_FORMAT!r}, got {data.get('format')!r}")
     B = quiver_from_dict({**data, "format": QUIVER_FORMAT})
-    spec = Period2Spec(data["n"], data["shape"], data["k"])
+    k = data.get("k")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise FormatError("field 'k' must be an integer")
+    try:
+        spec = Period2Spec(B.n, data.get("shape"), k)
+    except QuiverError as exc:
+        raise FormatError(str(exc))
     seq = {}
     for name in ("z", "y", "A", "B"):
+        if not isinstance(data.get(name, []), list):
+            raise FormatError(f"field {name!r} must be a list of rationals")
         seq[name] = [_parse_frac(v, f"{name}[{i}]") for i, v in enumerate(data.get(name, []))]
     return OrbitTrace(spec, B, data.get("steps", 0), seq, None)
 

@@ -12,11 +12,11 @@ horizons with the same exact arithmetic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import FAMILY_BY_KEY, section_family
+from .families import section_family
 from .quiver import QuiverError
+from .report import Report, Row
 from .systems import (
     BUILTIN_TEMPLATES,
     SystemSpec,
@@ -41,30 +41,10 @@ TAME_PARAM = {
 }
 
 
-@dataclass
-class CheckRow:
-    label: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class SectionReport:
-    tag: str
-    rows: list[CheckRow] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    def add(self, label: str, ok: bool, detail: str = ""):
-        self.rows.append(CheckRow(label, ok, detail))
-
-
-def _tsys_for(tag: str, value: int) -> tuple[SystemSpec, int]:
+def _tsys_for(tag: str, value: int) -> SystemSpec:
     fam, pname = section_family(tag)
     B = fam.matrix(**{pname: value})
-    return extract_system(B, fam.spec, "T"), fam.spec.n
+    return extract_system(B, fam.spec, "T")
 
 
 def _random_window(sys: SystemSpec, rng: random.Random) -> dict[str, list]:
@@ -81,7 +61,7 @@ def _ones_window(sys: SystemSpec) -> dict[str, list]:
 
 
 def iterate_family(tag: str, value: int, steps: int, window=None) -> dict[str, list]:
-    sys, n = _tsys_for(tag, value)
+    sys = _tsys_for(tag, value)
     if window is None:
         window = _ones_window(sys)
     return iterate_system(sys, window, steps)
@@ -92,7 +72,7 @@ def iterate_family(tag: str, value: int, steps: int, window=None) -> dict[str, l
 # ---------------------------------------------------------------------------
 
 
-def reduce_somos4(tag: str, value: int, terms: int, window=None) -> CheckRow:
+def reduce_somos4(tag: str, value: int, terms: int, window=None) -> Row:
     """s82/s84: the constant turns the pair into
     z(q+4) z(q) = z(q+1) z(q+3) + C z(q+2)^e; `terms` counts compared
     z-values, seed window included."""
@@ -101,7 +81,7 @@ def reduce_somos4(tag: str, value: int, terms: int, window=None) -> CheckRow:
     if terms < 6:
         raise QuiverError("need at least 6 terms")
     template = BUILTIN_TEMPLATES[tag]
-    sys, _ = _tsys_for(tag, value)
+    sys = _tsys_for(tag, value)
     zwin = required_window(sys)["z"]
     full = iterate_family(tag, value, terms - zwin, window)
     C = template.eval_at(full, 0)
@@ -109,14 +89,14 @@ def reduce_somos4(tag: str, value: int, terms: int, window=None) -> CheckRow:
     for q in range(terms - 4):
         z.append((z[q + 1] * z[q + 3] + C * z[q + 2] ** value) / z[q])
     ok = len(full["z"]) >= terms and z[:terms] == full["z"][:terms]
-    return CheckRow(
+    return Row(
         f"{tag} exp={value}: reduced Somos-4 form matches the full system "
         f"for {terms} terms (C={C})",
         ok,
     )
 
 
-def reduce_somos5(value: int, terms: int, window=None) -> CheckRow:
+def reduce_somos5(value: int, terms: int, window=None) -> Row:
     """s86: y(q+5) y(q) = y(q+3) y(q+2) + C y(q+1)^(n-1) y(q+4)^(n-1);
     `terms` counts compared y-values, seed window included."""
     if terms < 7:
@@ -129,14 +109,14 @@ def reduce_somos5(value: int, terms: int, window=None) -> CheckRow:
     for q in range(terms - 5):
         y.append((y[q + 3] * y[q + 2] + C * y[q + 1] ** e * y[q + 4] ** e) / y[q])
     ok = len(full["y"]) >= terms and y[:terms] == full["y"][:terms]
-    return CheckRow(
+    return Row(
         f"s86 n={value}: reduced Somos-5 form matches the full system "
         f"for {terms} terms (C={C})",
         ok,
     )
 
 
-def reduce_s81(value: int, steps: int, window=None) -> CheckRow:
+def reduce_s81(value: int, steps: int, window=None) -> Row:
     """s81: C(q) = y(q)/z(q+1) has period 2 and the system collapses to
     C(q+1) z(q+2) z(q) = C(q)^n z(q+1)^(2n) + 1."""
     full = iterate_family("s81", value, steps, window)
@@ -148,14 +128,14 @@ def reduce_s81(value: int, steps: int, window=None) -> CheckRow:
         Cq1 = C1 if q % 2 == 0 else C0
         z.append((Cq ** value * z[q + 1] ** (2 * value) + 1) / (Cq1 * z[q]))
     ok = z[: steps + 2] == full["z"][: steps + 2]
-    return CheckRow(
+    return Row(
         f"s81 n={value}: period-2 quantity reduces the pair to a single "
         f"recurrence matching {steps} terms",
         ok,
     )
 
 
-def reduce_s81_y(value: int, A_seq, B_seq, steps: int) -> CheckRow:
+def reduce_s81_y(value: int, A_seq, B_seq, steps: int) -> Row:
     """s81 coefficient side: D(q) = A(q+1)/B(q) has period 2; replacing
     B(q) = A(q+1)/D(q) in the pair leaves the single recurrence
     A(q+2) A(q) = D(q+1) (1+A(q+1))^n (1 + A(q+1)/D(q))^n."""
@@ -168,14 +148,14 @@ def reduce_s81_y(value: int, A_seq, B_seq, steps: int) -> CheckRow:
         Dq1 = D1 if q % 2 == 0 else D0
         A.append(Dq1 * (1 + A[q + 1]) ** n * (1 + A[q + 1] / Dq) ** n / A[q])
     ok = A[: steps + 2] == list(A_seq[: steps + 2])
-    return CheckRow(
+    return Row(
         f"s81 n={value}: coefficient-side period-2 quantity reduces the "
         f"Y-pair, matching {steps} terms",
         ok,
     )
 
 
-def reduce_s83(value: int, steps: int, window=None) -> CheckRow:
+def reduce_s83(value: int, steps: int, window=None) -> Row:
     """s83: with the constant C the pair becomes
     y(q+3) y(q) = C z(q+2)^2 y(q+1)^n y(q+2)^n + 1,
     C z(q+2) z(q+1) = y(q) y(q+2) + y(q+1)   (z not fully eliminated)."""
@@ -191,14 +171,14 @@ def reduce_s83(value: int, steps: int, window=None) -> CheckRow:
         y[: steps + 3] == full["y"][: steps + 3]
         and z[: steps + 3] == full["z"][: steps + 3]
     )
-    return CheckRow(
+    return Row(
         f"s83 n={value}: half-reduced pair reproduces the full trace "
         f"for {steps} terms (C={C})",
         ok,
     )
 
 
-def reduce_s85(value: int, steps: int, window=None) -> CheckRow:
+def reduce_s85(value: int, steps: int, window=None) -> Row:
     """s85: C(q) = (z(q)+1)/(y(q+2) y(q)) has period 2 and eliminates z:
     C(q) y(q+4) y(q+2) y(q) = (C(q+1) y(q+3) y(q+1) - 1)^m y(q+2) + y(q+4) + y(q),
     i.e. substituting z(q) = C(q) y(q+2) y(q) - 1 into the second equation."""
@@ -215,7 +195,7 @@ def reduce_s85(value: int, steps: int, window=None) -> CheckRow:
         denom = Cq * y[q + 2] * y[q] - 1
         y.append(rhs / denom)
     ok = y[: steps + 4] == full["y"][: steps + 4]
-    return CheckRow(
+    return Row(
         f"s85 m={value}: period-2 quantity eliminates z, matching {steps} terms",
         ok,
     )
@@ -223,12 +203,12 @@ def reduce_s85(value: int, steps: int, window=None) -> CheckRow:
 
 def somos_reduce(
     family: str, param: int, steps: int = 30, window=None
-) -> SectionReport:
+) -> Report:
     """Reduce one of the Somos-producing suites and compare with the full
     iteration: s82/s84 reduce to the 4-term form, s86 to the 5-term form."""
     if family not in ("s82", "s84", "s86"):
         raise QuiverError("somos_reduce supports families s82, s84, s86")
-    report = SectionReport(family)
+    report = Report(family)
     if family in ("s82", "s84"):
         report.rows.append(reduce_somos4(family, param, steps, window))
     else:
@@ -251,54 +231,21 @@ def somos4_oracle(C: Fraction, exponent: int, initial, steps: int) -> list[Fract
 # ---------------------------------------------------------------------------
 
 
-def _bounded_iterate(
-    sys: SystemSpec,
-    window: dict[str, list],
-    max_q: int,
-    bit_budget: int = 600_000,
-) -> tuple[dict[str, list], int]:
-    """Extend the sequences step by step until max_q or a value exceeds the
-    bit budget; returns the sequences and the number of steps taken."""
-    seqs = {name: [Fraction(v) for v in vs] for name, vs in window.items()}
-
-    def val(slot, q):
-        seq, off = slot
-        return seqs[seq][q + off]
-
-    done = 0
-    for q in range(max_q):
-        worst = 0
-        for eq in sys.equations():
-            plus = Fraction(1)
-            for slot, e in eq.plus.items():
-                plus *= val(slot, q) ** e
-            minus = Fraction(1)
-            for slot, e in eq.minus.items():
-                minus *= val(slot, q) ** e
-            nv = (plus + minus) / val(eq.lhs[0], q)
-            seqs[eq.lhs[1][0]].append(nv)
-            worst = max(worst, nv.numerator.bit_length(), nv.denominator.bit_length())
-        done = q + 1
-        if worst > bit_budget:
-            break
-    return seqs, done
-
-
 def verify_section(
     tag: str,
     seeds: int = 10,
     horizon: int = 50,
     rng: random.Random | None = None,
-) -> SectionReport:
+) -> Report:
     """Template periodicity (long exact runs at the tame parameter, bounded
     runs otherwise) plus the suite's reduction checks."""
     if tag not in SECTION_TAGS:
         raise QuiverError(f"unknown section tag {tag!r}")
     rng = rng or random.Random(20240 + int(tag[1:]))
-    report = SectionReport(tag)
+    report = Report(tag)
     template = BUILTIN_TEMPLATES[tag]
     tame = TAME_PARAM[tag]
-    sys, n = _tsys_for(tag, tame)
+    sys = _tsys_for(tag, tame)
     pad = template.max_offset() + template.claimed_period + 2
     for s in range(seeds):
         window = _random_window(sys, rng)
@@ -318,11 +265,11 @@ def verify_section(
         lo = fam.param_min.get(pname, 0)
         if value < lo:
             continue
-        sys_v, _ = _tsys_for(tag, value)
+        sys_v = _tsys_for(tag, value)
         window = _random_window(sys_v, rng)
         need = template.claimed_period + template.max_offset()
-        seqs, reached = _bounded_iterate(sys_v, window, max_q=12 + need)
-        short = reached - need
+        seqs = iterate_system(sys_v, window, 12 + need, bit_budget=600_000)
+        short = len(seqs["z"]) - required_window(sys_v)["z"] - need
         if short < 2:
             report.add(
                 f"{tag} param={value}: bit budget too small for a periodic check",

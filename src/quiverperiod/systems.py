@@ -151,6 +151,9 @@ class SystemSpec:
 
     def __post_init__(self):
         for eq in (self.eq1, self.eq2):
+            for seq, off in (*eq.lhs, *eq.plus, *eq.minus):
+                if seq not in ("z", "y") or off < 0:
+                    raise QuiverError(f"bad slot {(seq, off)!r}")
             for table in (eq.plus, eq.minus):
                 for slot, e in table.items():
                     if e < 0:
@@ -367,17 +370,56 @@ def initial_window_from_seed(sys: SystemSpec, x0: Sequence) -> dict[str, list]:
     return window
 
 
+def _power_product(
+    seqs: dict[str, Sequence], factors: Iterable[tuple[Slot, int]], q: int
+) -> Fraction:
+    """prod seqs[seq][q + off] ** e over the (slot, exponent) pairs; exponents
+    may be negative."""
+    out = Fraction(1)
+    for (seq, off), e in factors:
+        v = seqs[seq][q + off]
+        out = out * v ** e if e >= 0 else out / v ** -e
+    return out
+
+
+def _signed(eq: EquationSpec) -> dict[Slot, int]:
+    """The exponents of the monomial ratio plus/minus of a T-kind equation."""
+    nets = dict(eq.plus)
+    for slot, e in eq.minus.items():
+        nets[slot] = nets.get(slot, 0) - e
+    return nets
+
+
+def _y_rhs(seqs: dict[str, Sequence], eq: EquationSpec, q: int) -> Fraction:
+    """prod (1 + v)^e over eq.plus divided by prod (1 + 1/v)^e over eq.minus."""
+    num = Fraction(1)
+    for (seq, off), e in eq.plus.items():
+        num *= (1 + seqs[seq][q + off]) ** e
+    den = Fraction(1)
+    for (seq, off), e in eq.minus.items():
+        v = seqs[seq][q + off]
+        if v == 0:
+            raise ZeroDivisionError("zero value in Y-system denominator")
+        den *= (1 + 1 / v) ** e
+    return num / den
+
+
 def iterate_system(
     sys: SystemSpec,
     initial: dict[str, Sequence],
     steps: int,
     Z: dict[str, Sequence] | None = None,
+    bit_budget: int | None = None,
 ) -> dict[str, list]:
     """Forward-evaluate the two interleaved equations exactly.
 
     initial provides the z- and y-windows (sizes must match required_window).
     For TZ-kind systems, Z["z"] and Z["y"] multiply the right-hand sides of
-    eq1 and eq2.  Returns the extended sequences as Fractions.
+    eq1 and eq2.  With bit_budget set, the iteration stops after the first
+    step that produces a value whose numerator or denominator has more than
+    bit_budget bits; the number of steps taken is then
+    len(result["z"]) - required_window(sys)["z"].  Returns the extended
+    sequences as Fractions.
     """
     need = required_window(sys)
     seqs: dict[str, list] = {}
@@ -398,41 +440,28 @@ def iterate_system(
     elif Z is not None:
         raise QuiverError("Z sequences are only accepted for TZ-kind systems")
 
-    def value(slot: Slot, q: int) -> Fraction:
-        seq, off = slot
-        idx = q + off
-        if idx >= len(seqs[seq]):
-            raise QuiverError(f"internal: slot {slot} not yet available at q={q}")
-        return seqs[seq][idx]
-
     def rhs(eq: EquationSpec, q: int) -> Fraction:
         if sys.kind in ("T", "TZ"):
-            prod_p = Fraction(1)
-            for slot, e in eq.plus.items():
-                prod_p *= value(slot, q) ** e
-            prod_m = Fraction(1)
-            for slot, e in eq.minus.items():
-                prod_m *= value(slot, q) ** e
-            return prod_p + prod_m
-        num = Fraction(1)
-        for slot, e in eq.plus.items():
-            num *= (1 + value(slot, q)) ** e
-        den = Fraction(1)
-        for slot, e in eq.minus.items():
-            v = value(slot, q)
-            if v == 0:
-                raise ZeroDivisionError("zero value in Y-system denominator")
-            den *= (1 + 1 / v) ** e
-        return num / den
+            return _power_product(seqs, eq.plus.items(), q) + _power_product(
+                seqs, eq.minus.items(), q
+            )
+        return _y_rhs(seqs, eq, q)
+
+    def bits(v: Fraction) -> int:
+        return max(v.numerator.bit_length(), v.denominator.bit_length())
 
     for q in range(steps):
         for idx, eq in enumerate(sys.equations()):
-            divisor = value(eq.lhs[0], q)
-            if divisor == 0:
-                raise ZeroDivisionError(
-                    f"zero divisor at q={q} (non-generic initial data)"
-                )
-            val = rhs(eq, q)
+            seq, off = eq.lhs[0]
+            try:
+                divisor = seqs[seq][q + off]
+                if divisor == 0:
+                    raise ZeroDivisionError(
+                        f"zero divisor at q={q} (non-generic initial data)"
+                    )
+                val = rhs(eq, q)
+            except IndexError:
+                raise QuiverError(f"internal: a slot of eq{idx + 1} is not available at q={q}")
             if sys.kind == "TZ":
                 val *= Fraction(Z["z" if idx == 0 else "y"][q])
             val /= divisor
@@ -440,6 +469,8 @@ def iterate_system(
             if len(seqs[out_seq]) != q + out_off:
                 raise QuiverError("internal: sequence produced out of order")
             seqs[out_seq].append(val)
+        if bit_budget is not None and max(bits(seqs["z"][-1]), bits(seqs["y"][-1])) > bit_budget:
+            break
     return seqs
 
 
@@ -461,13 +492,9 @@ class PeriodicQuantityTemplate:
 
     def eval_at(self, seqs: dict[str, Sequence], q: int) -> Fraction:
         def side(monomials):
-            total = Fraction(0)
-            for coeff, factors in monomials:
-                term = Fraction(coeff)
-                for (seq, off), e in factors:
-                    term *= Fraction(seqs[seq][q + off]) ** e
-                total += term
-            return total
+            return sum(
+                (c * _power_product(seqs, factors, q) for c, factors in monomials), Fraction(0)
+            )
 
         den = side(self.den)
         if den == 0:
@@ -486,11 +513,6 @@ class PeriodicQuantityTemplate:
         def fmt(monomials):
             parts = []
             for coeff, factors in monomials:
-                bits = [
-                    f"{seq}(q+{off})" if off else f"{seq}(q)"
-                    for (seq, off), e in factors
-                    for _ in [0]
-                ]
                 bits = []
                 for (seq, off), e in factors:
                     name = f"{seq}(q+{off})" if off else f"{seq}(q)"
@@ -705,14 +727,8 @@ def template_search(
         raise QuiverError("trace too short for template search")
 
     def values_of(mono: Monomial, count: int):
-        out = []
-        for q in range(count):
-            coeff, factors = mono
-            v = Fraction(coeff)
-            for (seq, off), e in factors:
-                v *= Fraction(seqs[seq][q + off]) ** e
-            out.append(v)
-        return out
+        coeff, factors = mono
+        return [coeff * _power_product(seqs, factors, q) for q in range(count)]
 
     mono_vals = [values_of(m, usable) for m in monomials]
     found = []
@@ -761,18 +777,11 @@ def template_search(
 def tz_condition_holds(sys: SystemSpec, Z: dict[str, Sequence], steps: int) -> bool:
     """The multiplicative constraint: for each equation and every q, the
     product of Z over its slots with exponents (plus - minus) equals 1."""
-    for idx, eq in enumerate(sys.equations()):
-        nets: dict[Slot, int] = {}
-        for slot, e in eq.plus.items():
-            nets[slot] = nets.get(slot, 0) + e
-        for slot, e in eq.minus.items():
-            nets[slot] = nets.get(slot, 0) - e
-        max_off = max((off for (_, off) in nets), default=0)
+    for eq in sys.equations():
+        nets = _signed(eq).items()
+        max_off = max((off for (_, off), _e in nets), default=0)
         for q in range(steps - max_off):
-            prod = Fraction(1)
-            for (seq, off), e in nets.items():
-                prod *= Fraction(Z[seq][q + off]) ** e
-            if prod != 1:
+            if _power_product(Z, nets, q) != 1:
                 return False
     return True
 
@@ -803,17 +812,8 @@ def check_TZ_condition(
     seqs = iterate_system(tz, initial, run, Z=Z)
 
     def bar_sequence(eq: EquationSpec, count: int) -> list[Fraction]:
-        out = []
-        for q in range(count):
-            v = Fraction(1)
-            for slot, e in eq.plus.items():
-                seq, off = slot
-                v *= Fraction(seqs[seq][q + off]) ** e
-            for slot, e in eq.minus.items():
-                seq, off = slot
-                v *= Fraction(seqs[seq][q + off]) ** (-e)
-            out.append(v)
-        return out
+        nets = _signed(eq).items()
+        return [_power_product(seqs, nets, q) for q in range(count)]
 
     count = steps + sys.spec.n + 1
     bars = {"z": bar_sequence(tz.eq1, count), "y": bar_sequence(tz.eq2, count)}
@@ -822,14 +822,7 @@ def check_TZ_condition(
     for eq in ysys.equations():
         (s0, o0), (s1, o1) = eq.lhs
         for q in range(steps):
-            lhs = bars[s0][q + o0] * bars[s1][q + o1]
-            num = Fraction(1)
-            for (seq, off), e in eq.plus.items():
-                num *= (1 + bars[seq][q + off]) ** e
-            den = Fraction(1)
-            for (seq, off), e in eq.minus.items():
-                den *= (1 + 1 / bars[seq][q + off]) ** e
-            if lhs != num / den:
+            if bars[s0][q + o0] * bars[s1][q + o1] != _y_rhs(bars, eq, q):
                 solves = False
                 break
         if not solves:

@@ -1,13 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from quiverperiod.cli import main
-from quiverperiod.formats import quiver_from_json, quiver_to_json
-from quiverperiod import ExchangeMatrix
+from quiverperiod.formats import quiver_from_json, quiver_to_json, trace_from_json, trace_to_json
+from quiverperiod import ExchangeMatrix, extract_system, iterate_system
 import quiverperiod.families as fm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MARKOV_JSON = json.dumps(
     {"format": "quiverperiod/quiver-v1", "n": 3, "b": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}
@@ -206,6 +210,77 @@ class TestTsysCommands:
         )
         assert code == 0 and "PASS" in out
 
+    def test_values_beyond_int_str_digit_limit(self, tmp_path, capsys):
+        family = fm.FAMILY_BY_KEY["n4-k2-1"]
+        tsys = extract_system(family.matrix(n=2), family.spec, "T")
+        spath = tmp_path / "sys.json"
+        spath.write_text(json.dumps(tsys.to_dict()))
+        window = {"z": [1, 2, 3], "y": [2]}
+        ipath = tmp_path / "init.json"
+        ipath.write_text(json.dumps(window))
+        code, out, err = run_cli(
+            ["tsys", "iterate", "--system", str(spath), "--init", str(ipath),
+             "--steps", "8"],
+            capsys,
+        )
+        assert code == 0, err
+        seqs = iterate_system(tsys, window, 8)
+        assert max(abs(v.numerator) for v in seqs["z"] + seqs["y"]) > 10 ** 4300
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            trace = trace_from_json(out)
+            assert trace_to_json(trace) == out.strip()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert trace.seq["z"] == seqs["z"] and trace.seq["y"] == seqs["y"]
+
+
+def _n4_system(**eq1_changes):
+    family = fm.FAMILY_BY_KEY["n4-k2-1"]
+    data = extract_system(family.matrix(n=1), family.spec, "T").to_dict()
+    data["eq1"].update(eq1_changes)
+    return json.dumps(data)
+
+
+_N4_TRACE = {
+    "format": "quiverperiod/trace-v1", "n": 4, "shape": "1-cycle", "k": 2,
+    "b": [list(r) for r in fm.FAMILY_BY_KEY["n4-k2-1"].matrix(n=1).rows],
+    "z": ["1", "1", "1"], "y": ["1"],
+}
+_VERIFY = ["tsys", "verify-periodic", "--trace", "BAD", "--template", "builtin:s81"]
+_ITERATE = ["tsys", "iterate", "--system", "SYS", "--init", "INIT", "--steps", "2"]
+_GOOD_INIT = json.dumps({"z": ["1", "1", "1"], "y": ["1"]})
+
+# case: (command line, {file placeholder in the command line: file contents})
+MALFORMED = {
+    "orbit-seed": (
+        ["orbit", "--seed", "BAD", "--shape", "1cycle", "--k", "2", "--steps", "2"],
+        {"BAD": "{broken"},
+    ),
+    "trace-json": (_VERIFY, {"BAD": "[1, 2]"}),
+    "trace-no-shape": (
+        _VERIFY, {"BAD": json.dumps({k: v for k, v in _N4_TRACE.items() if k != "shape"})}
+    ),
+    "trace-z-not-list": (_VERIFY, {"BAD": json.dumps({**_N4_TRACE, "z": 5})}),
+    "init-not-list": (_ITERATE, {"SYS": _n4_system(), "INIT": json.dumps({"z": 5})}),
+    "system-bad-exponent": (_ITERATE, {"SYS": _n4_system(plus=[[1]]), "INIT": _GOOD_INIT}),
+    "system-negative-offset": (
+        _ITERATE, {"SYS": _n4_system(plus=[["z", -1, 1]]), "INIT": _GOOD_INIT}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_file_exit_2(case, tmp_path, capsys):
+    argv, files = MALFORMED[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
 
 class TestOrbitCommand:
     def test_orbit_trace_and_csv(self, tmp_path, capsys):
@@ -245,6 +320,17 @@ class TestReproduce:
         assert code == 0
         data = json.loads(out.split("\n", 1)[1])
         assert data["seed"] == 7 and data["ok"] is True
+
+
+@pytest.mark.parametrize("script", ["reproduce_all.py", "search_quivers.py"])
+def test_script_help(script):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_installed():

@@ -230,13 +230,39 @@ class TestIterate:
         with pytest.raises(ZeroDivisionError):
             iterate_system(sys, {"z": [1, 0, 1], "y": [1]}, 4)
 
+    def test_bit_budget_stops_after_first_oversized_step(self):
+        sys, _ = tsys("n4-k2-1", n=2)
+        need = required_window(sys)
+        rng = random.Random(83)
+        window = {
+            name: [F(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(cnt)]
+            for name, cnt in need.items()
+        }
+        full = iterate_system(sys, window, 8)
+        assert iterate_system(sys, window, 8, bit_budget=None) == full
+        assert all(len(full[s]) == need[s] + 8 for s in ("z", "y"))
+
+        def step_bits(seqs, q):
+            return max(
+                max(v.numerator.bit_length(), v.denominator.bit_length())
+                for v in (seqs["z"][need["z"] + q], seqs["y"][need["y"] + q])
+            )
+
+        budget = 1_000
+        bounded = iterate_system(sys, window, 8, bit_budget=budget)
+        reached = len(bounded["z"]) - need["z"]
+        assert 1 < reached < 8
+        assert len(bounded["y"]) - need["y"] == reached
+        for s in ("z", "y"):
+            assert bounded[s] == full[s][: len(bounded[s])]
+        assert all(step_bits(full, q) <= budget for q in range(reached - 1))
+        assert step_bits(full, reached - 1) > budget
+
     def test_orbit_agreement_sweep(self):
         # horizon scaled by the growth driver: the largest of the monomial
         # exponent sums and the raw arrow weights (values grow like S^q);
         # the heaviest instances are covered by the closed-form/tabulation
         # equivalence instead, since even one period exceeds any bit budget
-        from quiverperiod.reductions import _bounded_iterate
-
         rng = random.Random(71)
         checked = 0
         for fid, spec, B in fm.regression_instances(2):
@@ -254,7 +280,7 @@ class TestIterate:
             window = initial_window_from_seed(sys, x0)
             # probe the actual growth with a small bit budget: the orbit also
             # carries the coefficient dynamics, which compound at least as fast
-            _, reached = _bounded_iterate(sys, window, max_q=30, bit_budget=3_000)
+            reached = len(iterate_system(sys, window, 30, bit_budget=3_000)["z"]) - need["z"]
             steps = reached - 1
             if steps < 1:
                 continue
