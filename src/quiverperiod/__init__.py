@@ -22,7 +22,6 @@ from .cluster import (
     LaurentPoly,
     NonLaurentError,
     OrbitTrace,
-    RatFunc,
     Seed,
     laurent_check,
     mutate_seed,

@@ -197,7 +197,7 @@ def cmd_tsys_iterate(args) -> int:
     Z = _parse_window(args.z) if args.z else None
     try:
         seqs = iterate_system(sys_spec, window, args.steps, Z=Z)
-    except (QuiverError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise CliError(str(exc), code=EXIT_VERIFY)
     seqs.update(A=[], B=[])
     trace = OrbitTrace(sys_spec.spec, sys_spec.B0, 2 * args.steps, seqs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .quiver import (
     ExchangeMatrix,
@@ -55,9 +55,6 @@ def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
-
-
-_COEFF_FAIL = object()  # sentinel: integer pass hit a non-divisible coefficient
 
 
 class LaurentPoly:
@@ -272,8 +269,7 @@ class LaurentPoly:
         Both operands are shifted so per-variable minimum exponents are 0;
         the shifted divisor then shares no monomial factor, so Laurent
         divisibility reduces to ordinary exact division by leading-term
-        elimination in graded-lex order.  An all-integer pass runs first when
-        possible; a coefficient non-divisibility falls back to rationals.
+        elimination in graded-lex order.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
@@ -288,22 +284,8 @@ class LaurentPoly:
         d_min = divisor._min_exponents()
         p_terms = {e - p_min + zero: c for e, c in self._terms.items()}
         d_terms = {e - d_min + zero: c for e, c in divisor._terms.items()}
-        quo = None
-        if all(isinstance(c, int) for c in p_terms.values()) and all(
-            isinstance(c, int) for c in d_terms.values()
-        ):
-            quo = _exact_div(p_terms, d_terms, nvars, zero, integral=True)
-            if quo is _COEFF_FAIL:
-                quo = None
+        quo = _exact_div(p_terms, d_terms, nvars, zero)
         if quo is None:
-            quo = _exact_div(
-                {e: Fraction(c) for e, c in p_terms.items()},
-                {e: Fraction(c) for e, c in d_terms.items()},
-                nvars,
-                zero,
-                integral=False,
-            )
-        if quo is None or quo is _COEFF_FAIL:
             return None
         # quo keys carry the bias; adding the relative shift keeps them biased
         shift = p_min - d_min
@@ -317,12 +299,13 @@ def _grlex_key(e: int, nvars: int):
     return (-sum(t), tuple(-x for x in t))
 
 
-def _exact_div(p_terms: dict, d_terms: dict, nvars: int, zero: int, integral: bool):
+def _exact_div(p_terms: dict, d_terms: dict, nvars: int, zero: int):
     """Exact division of nonneg-exponent packed-term polynomials.
 
-    Returns the quotient dict, None when the division is not exact, or
-    _COEFF_FAIL when integral=True and a coefficient fails to divide.  The
+    Returns the quotient dict, or None when the division is not exact.  The
     leading term is tracked with a lazily cleaned heap in graded-lex order.
+    A coefficient that divides exactly stays an integer; one that does not
+    becomes a Fraction.
     """
     order = lambda e: _grlex_key(e, nvars)
     d_lead = min(d_terms, key=order)
@@ -343,12 +326,9 @@ def _exact_div(p_terms: dict, d_terms: dict, nvars: int, zero: int, integral: bo
         # negative component iff any limb underflows below the bias
         if any(x < 0 for x in _unpack(diff, nvars)):
             return None
-        if integral:
-            coeff, mod = divmod(r_lead_c, d_lead_c)
-            if mod:
-                return _COEFF_FAIL
-        else:
-            coeff = r_lead_c / d_lead_c
+        coeff, mod = divmod(r_lead_c, d_lead_c)
+        if mod:
+            coeff = Fraction(r_lead_c) / d_lead_c
         quo[diff] = quo.get(diff, 0) + coeff
         del rem[r_lead]
         heapq.heappop(heap)
@@ -365,24 +345,6 @@ def _exact_div(p_terms: dict, d_terms: dict, nvars: int, zero: int, integral: bo
                 rem[k2] = -coeff * c
                 heapq.heappush(heap, (order(k2), k2))
     return quo
-
-
-@dataclass(frozen=True)
-class RatFunc:
-    """Unreduced quotient of Laurent polynomials; carried only when an
-    exchange value falls outside the Laurent ring (lenient mode)."""
-
-    num: LaurentPoly
-    den: LaurentPoly
-
-
-SymbolicValue = Union[LaurentPoly, RatFunc]
-
-
-def _as_pair(v: SymbolicValue) -> tuple[LaurentPoly, LaurentPoly]:
-    if isinstance(v, RatFunc):
-        return v.num, v.den
-    return v, LaurentPoly.one(v.nvars)
 
 
 @dataclass(frozen=True)
@@ -405,7 +367,7 @@ class Seed:
 
     @property
     def symbolic(self) -> bool:
-        return any(isinstance(v, (LaurentPoly, RatFunc)) for v in self.x)
+        return any(isinstance(v, LaurentPoly) for v in self.x)
 
     @staticmethod
     def ones(B: ExchangeMatrix) -> "Seed":
@@ -423,13 +385,13 @@ class Seed:
         )
 
 
-def mutate_seed(seed: Seed, k: int, strict: bool = True) -> Seed:
+def mutate_seed(seed: Seed, k: int) -> Seed:
     """Seed mutation at vertex k: exchange relation for x_k, coefficient
     update for every y, matrix mutation for B.
 
-    In symbolic mode the exchange quotient is computed in the fraction field
-    and re-expressed as a Laurent polynomial; if that fails, strict mode
-    raises NonLaurentError and lenient mode stores the flagged quotient.
+    In symbolic mode the exchange quotient must be a Laurent polynomial,
+    which the Laurent phenomenon guarantees from an initial seed; otherwise
+    NonLaurentError is raised.
     """
     B = seed.B
     n = B.n
@@ -438,51 +400,26 @@ def mutate_seed(seed: Seed, k: int, strict: bool = True) -> Seed:
     x = list(seed.x)
     y = list(seed.y)
     xk = x[k - 1]
+    if xk == 0:
+        raise ZeroDivisionError("cluster value x_k is zero")
 
+    m_in = m_out = LaurentPoly.one(n) if seed.symbolic else Fraction(1)
+    for i in range(1, n + 1):
+        w = B.b(i, k)
+        if w > 0:
+            m_in = m_in * x[i - 1] ** w
+        elif w < 0:
+            m_out = m_out * x[i - 1] ** (-w)
     if seed.symbolic:
-        num_in = LaurentPoly.one(n)
-        den_in = LaurentPoly.one(n)
-        num_out = LaurentPoly.one(n)
-        den_out = LaurentPoly.one(n)
-        for i in range(1, n + 1):
-            w = B.b(i, k)
-            if w > 0:
-                ni, di = _as_pair(x[i - 1])
-                num_in = num_in * ni ** w
-                den_in = den_in * di ** w
-            elif w < 0:
-                ni, di = _as_pair(x[i - 1])
-                num_out = num_out * ni ** (-w)
-                den_out = den_out * di ** (-w)
-        sum_num = num_in * den_out + num_out * den_in
-        sum_den = den_in * den_out
-        xk_num, xk_den = _as_pair(xk)
-        new_num = sum_num * xk_den
-        new_den = sum_den * xk_num
-        if new_den.is_zero():
-            raise ZeroDivisionError("cluster value x_k is zero")
-        quotient = new_num.divide(new_den)
-        if quotient is None:
-            if strict:
-                raise NonLaurentError(
-                    f"exchange at vertex {k} left the Laurent ring"
-                )
-            new_xk: SymbolicValue = RatFunc(new_num, new_den)
-        else:
-            new_xk = quotient
-        x[k - 1] = new_xk
+        new_xk = (m_in + m_out).divide(xk)
+        if new_xk is None:
+            raise NonLaurentError(
+                f"exchange at vertex {k} left the Laurent ring; from an initial "
+                "seed this cannot happen and indicates an engine bug"
+            )
     else:
-        if xk == 0:
-            raise ZeroDivisionError("cluster value x_k is zero")
-        m_in = Fraction(1)
-        m_out = Fraction(1)
-        for i in range(1, n + 1):
-            w = B.b(i, k)
-            if w > 0:
-                m_in *= Fraction(x[i - 1]) ** w
-            elif w < 0:
-                m_out *= Fraction(x[i - 1]) ** (-w)
-        x[k - 1] = (m_in + m_out) / Fraction(xk)
+        new_xk = (m_in + m_out) / xk
+    x[k - 1] = new_xk
 
     yk = Fraction(y[k - 1])
     new_y = []
@@ -533,9 +470,6 @@ class OrbitTrace:
     def x_at(self, i: int, u: int):
         return self.states[u].x[self._translate(i, u) - 1]
 
-    def y_at(self, i: int, u: int):
-        return self.states[u].y[self._translate(i, u) - 1]
-
     def b_at(self, u: int) -> ExchangeMatrix:
         r = u // 2
         return permute(self.states[u].B, self.spec.sigma() ** (-r))
@@ -545,7 +479,6 @@ def run_orbit(
     s0: Seed,
     spec: Period2Spec,
     steps: int,
-    strict: bool = True,
     keep_states: bool = True,
 ) -> OrbitTrace:
     """Alternate mutations at (the images of) vertices 1 and k.
@@ -567,11 +500,11 @@ def run_orbit(
         if u % 2 == 0:
             seq["z"].append(state.x[0])
             seq["A"].append(state.y[0])
-            state = mutate_seed(state, 1, strict=strict)
+            state = mutate_seed(state, 1)
         else:
             seq["y"].append(state.x[k - 1])
             seq["B"].append(state.y[k - 1])
-            state = mutate_seed(state, k, strict=strict)
+            state = mutate_seed(state, k)
             state = relabel_seed(state, sigma)
         if keep_states:
             states.append(state)
@@ -580,7 +513,9 @@ def run_orbit(
 
 @dataclass
 class LaurentReport:
-    """Per-mutation record of whether the new cluster value stayed Laurent."""
+    """Per-mutation record of the new cluster values.  Every value is a
+    Laurent polynomial (a non-Laurent exchange raises NonLaurentError), so
+    laurent is all True; integral flags integer coefficients."""
 
     depth: int
     laurent: list[bool]
@@ -597,39 +532,28 @@ def laurent_check(
 ) -> LaurentReport:
     """Run a symbolic orbit and report Laurentness of every new variable.
 
-    With a period-2 spec the orbit schedule is used; with spec=None the
-    mutation schedule cycles through the vertices 1, 2, ..., n, 1, ...
-    (used for quivers with no periodicity structure).
+    With a period-2 spec the orbit schedule of run_orbit is used (1, then k,
+    then relabel by sigma); with spec=None the mutation schedule cycles
+    through the vertices 1, 2, ..., n, 1, ... (used for quivers with no
+    periodicity structure).
     """
-    n = B.n
-    seed = Seed.initial(B)
-    laurent: list[bool] = []
-    integral: list[bool] = []
+    if spec is not None and not is_period2(B, spec):
+        raise QuiverError("seed matrix does not satisfy the period-2 equation")
+    sigma = spec.sigma() if spec is not None else None
+    state = Seed.initial(B)
     values: list = []
-
-    def record(value):
-        if isinstance(value, RatFunc):
-            laurent.append(False)
-            integral.append(False)
+    for u in range(depth):
+        if spec is None:
+            v = u % B.n + 1
         else:
-            laurent.append(True)
-            integral.append(value.has_integer_coefficients())
-        values.append(value)
-
-    if spec is None:
-        state = seed
-        for u in range(depth):
-            v = u % n + 1
-            state = mutate_seed(state, v, strict=False)
-            record(state.x[v - 1])
-    else:
-        trace = run_orbit(seed, spec, depth, strict=False)
-        sigma_k = spec.sigma()(spec.k)
-        for u in range(depth):
-            if u % 2 == 0:
-                record(trace.states[u + 1].x[0])
-            else:
-                # odd steps end with the sigma-relabeling, which moves the
-                # fresh value from vertex k to sigma(k)
-                record(trace.states[u + 1].x[sigma_k - 1])
-    return LaurentReport(depth, laurent, integral, values)
+            v = 1 if u % 2 == 0 else spec.k
+        state = mutate_seed(state, v)
+        values.append(state.x[v - 1])
+        if spec is not None and u % 2 == 1:
+            state = relabel_seed(state, sigma)
+    return LaurentReport(
+        depth,
+        [True] * len(values),
+        [value.has_integer_coefficients() for value in values],
+        values,
+    )

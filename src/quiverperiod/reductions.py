@@ -216,16 +216,6 @@ def somos_reduce(
     return report
 
 
-def somos4_oracle(C: Fraction, exponent: int, initial, steps: int) -> list[Fraction]:
-    """Direct iteration of z(q+4) z(q) = z(q+1) z(q+3) + C z(q+2)^e."""
-    z = [Fraction(v) for v in initial]
-    if len(z) != 4:
-        raise QuiverError("the 4-term recurrence needs 4 initial values")
-    for q in range(steps):
-        z.append((z[q + 1] * z[q + 3] + C * z[q + 2] ** exponent) / z[q])
-    return z
-
-
 # ---------------------------------------------------------------------------
 # per-suite verification drivers
 # ---------------------------------------------------------------------------

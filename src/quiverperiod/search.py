@@ -223,7 +223,9 @@ class _Solver:
                     progress = True
         return new_pairs, new_done, True
 
-    def _pick(self, val) -> Pair | None:
+    def _pick(self, val) -> Pair:
+        # only called with a pair unassigned, and every pair is in the
+        # support of its own equation, so some equation has a candidate
         best = None
         best_count = None
         for eq in self.equations:
@@ -233,12 +235,6 @@ class _Solver:
             if best_count is None or len(unassigned) < best_count:
                 best_count = len(unassigned)
                 best = min(unassigned)
-        if best is None:
-            # no equation mentions the remaining pairs (cannot happen: every
-            # pair has its own equation) -- fall back to first unassigned
-            for p in self.pairs:
-                if p not in val:
-                    return p
         return best
 
     def _dfs(self, val, done) -> Iterator[dict[Pair, int]]:

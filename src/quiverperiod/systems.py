@@ -370,6 +370,26 @@ def initial_window_from_seed(sys: SystemSpec, x0: Sequence) -> dict[str, list]:
     return window
 
 
+def _check_slots(sys: SystemSpec, need: dict[str, int]) -> None:
+    """Raise unless every slot an equation reads exists when it runs.
+
+    The two equations must produce different sequences.  At step q each
+    sequence holds its window plus q produced values, so eq1 may read only
+    offsets below the window size; eq2 may also read the value eq1 has just
+    produced.
+    """
+    out1 = sys.eq1.lhs[1]
+    if out1[0] == sys.eq2.lhs[1][0]:
+        raise QuiverError(f"both equations produce the {out1[0]!r} sequence")
+    for idx, eq in enumerate(sys.equations()):
+        for slot in (eq.lhs[0], *eq.plus, *eq.minus):
+            seq, off = slot
+            if off >= need[seq] and not (idx == 1 and slot == out1):
+                raise QuiverError(
+                    f"eq{idx + 1} reads {sys._slot_name(slot)} before it is produced"
+                )
+
+
 def _power_product(
     seqs: dict[str, Sequence], factors: Iterable[tuple[Slot, int]], q: int
 ) -> Fraction:
@@ -414,6 +434,8 @@ def iterate_system(
     """Forward-evaluate the two interleaved equations exactly.
 
     initial provides the z- and y-windows (sizes must match required_window).
+    A system that reads a slot ahead of its production raises QuiverError
+    before any arithmetic.
     For TZ-kind systems, Z["z"] and Z["y"] multiply the right-hand sides of
     eq1 and eq2.  With bit_budget set, the iteration stops after the first
     step that produces a value whose numerator or denominator has more than
@@ -422,6 +444,7 @@ def iterate_system(
     sequences as Fractions.
     """
     need = required_window(sys)
+    _check_slots(sys, need)
     seqs: dict[str, list] = {}
     for name in ("z", "y"):
         want = need.get(name, 0)
@@ -453,22 +476,16 @@ def iterate_system(
     for q in range(steps):
         for idx, eq in enumerate(sys.equations()):
             seq, off = eq.lhs[0]
-            try:
-                divisor = seqs[seq][q + off]
-                if divisor == 0:
-                    raise ZeroDivisionError(
-                        f"zero divisor at q={q} (non-generic initial data)"
-                    )
-                val = rhs(eq, q)
-            except IndexError:
-                raise QuiverError(f"internal: a slot of eq{idx + 1} is not available at q={q}")
+            divisor = seqs[seq][q + off]
+            if divisor == 0:
+                raise ZeroDivisionError(
+                    f"zero divisor at q={q} (non-generic initial data)"
+                )
+            val = rhs(eq, q)
             if sys.kind == "TZ":
                 val *= Fraction(Z["z" if idx == 0 else "y"][q])
             val /= divisor
-            out_seq, out_off = eq.lhs[1]
-            if len(seqs[out_seq]) != q + out_off:
-                raise QuiverError("internal: sequence produced out of order")
-            seqs[out_seq].append(val)
+            seqs[eq.lhs[1][0]].append(val)
         if bit_budget is not None and max(bits(seqs["z"][-1]), bits(seqs["y"][-1])) > bit_budget:
             break
     return seqs

@@ -268,6 +268,9 @@ MALFORMED = {
     "system-negative-offset": (
         _ITERATE, {"SYS": _n4_system(plus=[["z", -1, 1]]), "INIT": _GOOD_INIT}
     ),
+    "system-reads-ahead": (
+        _ITERATE, {"SYS": _n4_system(plus=[["z", 9, 1]]), "INIT": _GOOD_INIT}
+    ),
 }
 
 

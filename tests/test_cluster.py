@@ -12,7 +12,6 @@ from quiverperiod import (
     NonLaurentError,
     Period2Spec,
     QuiverError,
-    RatFunc,
     Seed,
     laurent_check,
     mutate,
@@ -76,7 +75,9 @@ class TestLaurentPoly:
     def test_product_division_roundtrip(self, data):
         nv = data.draw(st.integers(1, 3))
         exps = st.tuples(*[st.integers(-2, 3)] * nv)
-        coeffs = st.integers(-4, 4)
+        # Fraction coefficients make some quotient coefficients non-integral,
+        # so division switches from int to Fraction part-way through
+        coeffs = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=4)
         terms = st.dictionaries(exps, coeffs, min_size=1, max_size=4)
         a = LaurentPoly(nv, data.draw(terms))
         b = LaurentPoly(nv, data.draw(terms))
@@ -84,6 +85,48 @@ class TestLaurentPoly:
             return
         q = (a * b).divide(b)
         assert q is not None and q == a
+
+    def test_divide_matches_sympy_cancel(self):
+        # oracle: p/d is Laurent exactly when the reduced denominator is a
+        # monomial, and then the quotient has the same terms
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(61)
+
+        def rand_poly(nv):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                c = rng.randint(-4, 4)
+                if rng.random() < 0.25:
+                    c = F(c, rng.randint(1, 3))
+                terms[tuple(rng.randint(-2, 2) for _ in range(nv))] = c
+            return LaurentPoly(nv, terms)
+
+        def to_sympy(poly, xs):
+            out = sympy.Integer(0)
+            for exps, c in poly.terms.items():
+                c = sympy.Rational(c.numerator, c.denominator)
+                out += c * sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
+            return out
+
+        seen_none = seen_quotient = 0
+        for _ in range(150):
+            nv = rng.randint(1, 3)
+            xs = sympy.symbols(f"x1:{nv + 1}")
+            d = rand_poly(nv)
+            if d.is_zero():
+                continue
+            p = rand_poly(nv) * d if rng.random() < 0.5 else rand_poly(nv)
+            num, den = sympy.fraction(sympy.cancel(to_sympy(p, xs) / to_sympy(d, xs)))
+            laurent = len(sympy.Add.make_args(sympy.expand(den))) == 1
+            q = p.divide(d)
+            assert (q is not None) == laurent
+            if q is None:
+                seen_none += 1
+            else:
+                seen_quotient += 1
+                expected = sympy.expand(num / den).as_coefficients_dict()
+                assert sympy.expand(to_sympy(q, xs)).as_coefficients_dict() == expected
+        assert seen_none and seen_quotient
 
     def test_powers(self):
         x = LaurentPoly.variable(1, 1)
@@ -250,14 +293,17 @@ class TestLaurentCheck:
         # x'' = x for the one-vertex quiver
         assert rep.values[1] == LaurentPoly.variable(1, 1)
 
-    def test_lenient_mode_flags_rational_functions(self):
+    def test_non_laurent_exchange_raises(self):
         # a seed whose x_1 is a sum makes the exchange quotient (1+x2)/(x1+x2),
-        # which is not Laurent: strict raises, lenient carries the flag
+        # which is not Laurent
         x1 = LaurentPoly.variable(2, 1)
         x2 = LaurentPoly.variable(2, 2)
         B = ExchangeMatrix.from_rows([[0, 1], [-1, 0]])
         bad = Seed(B, (x1 + x2, x2), (F(1), F(1)))
         with pytest.raises(NonLaurentError):
             mutate_seed(bad, 1)
-        out = mutate_seed(bad, 1, strict=False)
-        assert isinstance(out.x[0], RatFunc)
+
+    def test_requires_period2(self):
+        B = ExchangeMatrix.from_entries(3, {(1, 2): 1})
+        with pytest.raises(QuiverError):
+            laurent_check(B, Period2Spec(3, ONE_CYCLE, 2), 4)

@@ -172,6 +172,18 @@ class TestIterate:
         with pytest.raises(QuiverError):
             iterate_system(sys, {"z": [1, 1], "y": [1]}, 4)
 
+    def test_slot_read_ahead_rejected(self):
+        # eq2 of the N4#4(m=1,n=1) Y-system reads A(q+2), which eq1 only
+        # produces at the next step
+        family = fm.FAMILY_BY_KEY["n4-2c2-1"]
+        ysys = extract_system(family.matrix(m=1, n=1), family.spec, "Y")
+        window = {name: [F(1)] * cnt for name, cnt in required_window(ysys).items()}
+        with pytest.raises(QuiverError, match=r"eq2 reads A\(q\+2\)"):
+            iterate_system(ysys, window, 4)
+        same = SystemSpec("Y", ysys.spec, ysys.B0, ysys.eq1, ysys.eq1)
+        with pytest.raises(QuiverError, match="both equations produce"):
+            iterate_system(same, window, 4)
+
     def test_somos4_all_ones_prefix(self):
         # derived by direct evaluation of the coupled equations with p=2
         sys, _ = tsys("n5-k2-5", p=2)
