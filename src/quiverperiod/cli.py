@@ -29,10 +29,12 @@ from .report import Report
 from .search import SearchJob, residual_report, search
 from .systems import (
     BUILTIN_TEMPLATES,
+    DEFAULT_BIT_BUDGET,
     SystemSpec,
     extract_system,
     iterate_system,
     parse_template,
+    required_window,
     verify_periodic,
 )
 
@@ -196,9 +198,18 @@ def cmd_tsys_iterate(args) -> int:
     window = _parse_window(args.init)
     Z = _parse_window(args.z) if args.z else None
     try:
-        seqs = iterate_system(sys_spec, window, args.steps, Z=Z)
+        seqs = iterate_system(
+            sys_spec, window, args.steps, Z=Z, bit_budget=args.bit_budget
+        )
     except ZeroDivisionError as exc:
         raise CliError(str(exc), code=EXIT_VERIFY)
+    reached = len(seqs["z"]) - required_window(sys_spec)["z"]
+    if reached < args.steps:
+        raise CliError(
+            f"stopped after step {reached} of {args.steps}: a value exceeds the "
+            f"bit budget of {args.bit_budget} bits (raise it with --bit-budget)",
+            code=EXIT_VERIFY,
+        )
     seqs.update(A=[], B=[])
     trace = OrbitTrace(sys_spec.spec, sys_spec.B0, 2 * args.steps, seqs)
     print(formats.trace_to_json(trace))
@@ -336,6 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True, help="JSON object with 'z' and 'y' windows")
     p.add_argument("--steps", required=True, type=int)
     p.add_argument("--z", help="JSON object with 'z'/'y' multiplier sequences (TZ)")
+    p.add_argument(
+        "--bit-budget", type=int, default=DEFAULT_BIT_BUDGET, metavar="BITS",
+        help="fail once a numerator or denominator exceeds BITS bits "
+        f"(default {DEFAULT_BIT_BUDGET})",
+    )
     p.set_defaults(func=cmd_tsys_iterate)
 
     p = tsub.add_parser("verify-periodic", help="check a periodic quantity on a trace")

@@ -51,6 +51,12 @@ def _pack_zero(nvars: int) -> int:
     return _pack((0,) * nvars)
 
 
+def _drop_zeros(terms: dict) -> dict:
+    for e in [e for e, c in terms.items() if not c]:
+        del terms[e]
+    return terms
+
+
 def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
@@ -154,34 +160,46 @@ class LaurentPoly:
         small, big = self._terms, other._terms
         if len(small) > len(big):
             small, big = big, small
-        big_items = list(big.items())
+        zero = self._zero
+        small_items = [(e - zero, c) for e, c in small.items()]
+        terms: dict[int, object] = {}
+        get = terms.get
+        for e1, c1 in big.items():
+            for e2, c2 in small_items:
+                e = e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._raw(self.nvars, _drop_zeros(terms))
+
+    __rmul__ = __mul__
+
+    def _square(self) -> "LaurentPoly":
+        """self * self, forming each unordered pair of terms once."""
+        items = list(self._terms.items())
         zero = self._zero
         terms: dict[int, object] = {}
         get = terms.get
-        for e1, c1 in small.items():
+        for i, (e1, c1) in enumerate(items):
             e1z = e1 - zero
-            for e2, c2 in big_items:
+            e = e1z + e1
+            terms[e] = get(e, 0) + c1 * c1
+            c1x2 = 2 * c1
+            for e2, c2 in items[i + 1:]:
                 e = e1z + e2
-                v = get(e, 0) + c1 * c2
-                if v:
-                    terms[e] = v
-                else:
-                    del terms[e]
-        return LaurentPoly._raw(self.nvars, terms)
-
-    __rmul__ = __mul__
+                terms[e] = get(e, 0) + c1x2 * c2
+        return LaurentPoly._raw(self.nvars, _drop_zeros(terms))
 
     def __pow__(self, exp: int):
         if exp < 0:
             raise QuiverError("negative powers only via division")
-        result = LaurentPoly.one(self.nvars)
+        result = None
         base = self
         while exp:
             if exp & 1:
-                result = result * base
-            base = base * base if exp > 1 else base
+                result = base if result is None else result * base
             exp >>= 1
-        return result
+            if exp:
+                base = base._square()
+        return LaurentPoly.one(self.nvars) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -219,8 +237,7 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e, c in sorted(self.terms.items(), reverse=True):
             factors = [
                 f"x{i + 1}" + (f"^{p}" if p != 1 else "")
                 for i, p in enumerate(e)
@@ -254,14 +271,10 @@ class LaurentPoly:
     def _min_exponents(self) -> int:
         """Packed componentwise minimum over all exponent vectors."""
         mask = (1 << _LIMB) - 1
-        mins = None
-        for e in self._terms:
-            comps = [(e >> (_LIMB * i)) & mask for i in range(self.nvars)]
-            mins = comps if mins is None else [min(a, b) for a, b in zip(mins, comps)]
-        p = 0
-        for i, m in enumerate(mins):
-            p |= m << (_LIMB * i)
-        return p
+        return sum(
+            min(map((mask << (_LIMB * i)).__and__, self._terms))
+            for i in range(self.nvars)
+        )
 
     def divide(self, divisor: "LaurentPoly") -> "LaurentPoly | None":
         """Exact quotient self / divisor in the Laurent ring, or None.
@@ -269,7 +282,7 @@ class LaurentPoly:
         Both operands are shifted so per-variable minimum exponents are 0;
         the shifted divisor then shares no monomial factor, so Laurent
         divisibility reduces to ordinary exact division by leading-term
-        elimination in graded-lex order.
+        elimination in a graded monomial order.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
@@ -294,56 +307,58 @@ class LaurentPoly:
         )
 
 
-def _grlex_key(e: int, nvars: int):
-    t = _unpack(e, nvars)
-    return (-sum(t), tuple(-x for x in t))
-
-
 def _exact_div(p_terms: dict, d_terms: dict, nvars: int, zero: int):
     """Exact division of nonneg-exponent packed-term polynomials.
 
-    Returns the quotient dict, or None when the division is not exact.  The
-    leading term is tracked with a lazily cleaned heap in graded-lex order.
+    Returns the quotient dict, or None when the division is not exact.  Each
+    key gets an extra top limb holding its total degree, so keys stay additive
+    and plain int comparison is a graded order (x_n most significant); the
+    leading term is tracked with a lazily cleaned heap of negated keys.
     A coefficient that divides exactly stays an integer; one that does not
     becomes a Fraction.
     """
-    order = lambda e: _grlex_key(e, nvars)
-    d_lead = min(d_terms, key=order)
+    top = _LIMB * nvars
+    # 2**64 = 1 modulo 2**64 - 1, so the remainder is the sum of the limbs
+    bias_sum = nvars * _BIAS
+    limb_sum = (1 << _LIMB) - 1
+
+    def graded(terms):
+        return {e + ((e % limb_sum - bias_sum) << top): c for e, c in terms.items()}
+
+    d_terms = graded(d_terms)
+    d_lead = max(d_terms)
     d_lead_c = d_terms[d_lead]
     d_tail = [(e - d_lead, c) for e, c in d_terms.items() if e != d_lead]
-    rem = dict(p_terms)
-    heap = [(order(e), e) for e in rem]
+    rem = graded(p_terms)
+    heap = [-e for e in rem]
     heapq.heapify(heap)
+    low = (1 << top) - 1
     quo: dict = {}
     while rem:
-        while heap and heap[0][1] not in rem:
-            heapq.heappop(heap)
-        if not heap:
-            break
-        r_lead = heap[0][1]
-        r_lead_c = rem[r_lead]
+        r_lead_c = 0
+        while not r_lead_c:
+            r_lead = -heapq.heappop(heap)
+            r_lead_c = rem.pop(r_lead, 0)
         diff = r_lead - d_lead + zero
-        # negative component iff any limb underflows below the bias
-        if any(x < 0 for x in _unpack(diff, nvars)):
+        # a negative component leaves its limb below the bias bit
+        if diff & zero != zero:
             return None
         coeff, mod = divmod(r_lead_c, d_lead_c)
         if mod:
             coeff = Fraction(r_lead_c) / d_lead_c
-        quo[diff] = quo.get(diff, 0) + coeff
-        del rem[r_lead]
-        heapq.heappop(heap)
-        diffz = diff - zero
+        quo[diff & low] = coeff
         for e, c in d_tail:
-            k2 = diffz + e + d_lead  # = diff + (e_orig - zero)
-            if k2 in rem:
-                v = rem[k2] - coeff * c
+            k2 = r_lead + e
+            v = rem.get(k2)
+            if v is None:
+                rem[k2] = -coeff * c
+                heapq.heappush(heap, -k2)
+            else:
+                v -= coeff * c
                 if v:
                     rem[k2] = v
                 else:
                     del rem[k2]
-            else:
-                rem[k2] = -coeff * c
-                heapq.heappush(heap, (order(k2), k2))
     return quo
 
 

@@ -306,6 +306,8 @@ def verify_theorem(
     """
     from .search import SearchJob, search
 
+    if max_param < 0:
+        raise QuiverError(f"max_param must be >= 0, got {max_param}")
     report = Report(theorem)
     fams = families_of(theorem)
     for fam in fams:

@@ -19,6 +19,7 @@ from .quiver import QuiverError
 from .report import Report, Row
 from .systems import (
     BUILTIN_TEMPLATES,
+    DEFAULT_BIT_BUDGET,
     SystemSpec,
     extract_system,
     initial_window_from_seed,
@@ -258,7 +259,7 @@ def verify_section(
         sys_v = _tsys_for(tag, value)
         window = _random_window(sys_v, rng)
         need = template.claimed_period + template.max_offset()
-        seqs = iterate_system(sys_v, window, 12 + need, bit_budget=600_000)
+        seqs = iterate_system(sys_v, window, 12 + need, bit_budget=DEFAULT_BIT_BUDGET)
         short = len(seqs["z"]) - required_window(sys_v)["z"] - need
         if short < 2:
             report.add(

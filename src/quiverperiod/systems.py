@@ -424,6 +424,11 @@ def _y_rhs(seqs: dict[str, Sequence], eq: EquationSpec, q: int) -> Fraction:
     return num / den
 
 
+# bits allowed to a numerator or denominator by callers that bound an
+# iteration whose exact values grow exponentially (verify_section, tsys iterate)
+DEFAULT_BIT_BUDGET = 600_000
+
+
 def iterate_system(
     sys: SystemSpec,
     initial: dict[str, Sequence],

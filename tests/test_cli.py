@@ -235,6 +235,24 @@ class TestTsysCommands:
             sys.set_int_max_str_digits(limit)
         assert trace.seq["z"] == seqs["z"] and trace.seq["y"] == seqs["y"]
 
+    def test_iterate_stops_at_bit_budget(self, tmp_path, capsys):
+        # n4-k2-1 n=2 values grow about 3.7x in bits per step: step 10 passes
+        # the default budget, long before 40 steps
+        family = fm.FAMILY_BY_KEY["n4-k2-1"]
+        tsys = extract_system(family.matrix(n=2), family.spec, "T")
+        spath = tmp_path / "sys.json"
+        spath.write_text(json.dumps(tsys.to_dict()))
+        ipath = tmp_path / "init.json"
+        ipath.write_text(json.dumps({"z": [1, 2, 3], "y": [2]}))
+        args = ["tsys", "iterate", "--system", str(spath), "--init", str(ipath)]
+        code, out, err = run_cli(args + ["--steps", "40"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: stopped after step 10 of 40")
+        assert "600000 bits" in err
+        code, out, err = run_cli(args + ["--steps", "40", "--bit-budget", "200"], capsys)
+        assert code == 1 and out == ""
+        assert "step 4 of 40" in err and "200 bits" in err
+
 
 def _n4_system(**eq1_changes):
     family = fm.FAMILY_BY_KEY["n4-k2-1"]
@@ -308,6 +326,15 @@ class TestOrbitCommand:
         assert data["format"] == "quiverperiod/trace-v1"
         assert len(data["z"]) == 6
         assert cpath.read_text().startswith("u,slot,value")
+
+
+class TestVerifyTheorem:
+    def test_negative_max_param_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["verify-theorem", "--name", "thm4", "--max-param", "-1"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "max_param" in err
 
 
 class TestReproduce:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -127,6 +128,90 @@ class TestLaurentPoly:
                 expected = sympy.expand(num / den).as_coefficients_dict()
                 assert sympy.expand(to_sympy(q, xs)).as_coefficients_dict() == expected
         assert seen_none and seen_quotient
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_power_matches_repeated_product(self, data):
+        # __pow__ squares with _square; the k-fold product goes through
+        # __mul__ only.  Signed coefficients: the terms must be equal.
+        # Positive coefficients never cancel, so the int/Fraction type of
+        # each coefficient is fixed by which terms meet and must match too.
+        nv = data.draw(st.integers(1, 3))
+        exps = st.tuples(*[st.integers(-3, 3)] * nv)
+        positive = data.draw(st.booleans())
+        lo = 1 if positive else -4
+        coeffs = st.integers(lo, 4) | st.fractions(lo, 4, max_denominator=4)
+        terms = data.draw(st.dictionaries(exps, coeffs, min_size=1, max_size=5))
+        p = LaurentPoly(nv, terms)
+        k = data.draw(st.integers(0, 6))
+        product = LaurentPoly.one(nv)
+        for _ in range(k):
+            product = product * p
+        power = p ** k
+        assert power.terms == product.terms
+        if positive:
+            assert {e: type(c) for e, c in power.terms.items()} == {
+                e: type(c) for e, c in product.terms.items()
+            }
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_divide_roundtrip_large_exponents(self, data):
+        # exponents near +-10^6 in 5-6 variables exercise the degree limb
+        # that division adds on top of the packed exponents
+        nv = data.draw(st.integers(5, 6))
+        exp = st.builds(
+            lambda sign, off: sign * 10 ** 6 + off,
+            st.sampled_from([-1, 1]),
+            st.integers(-3, 3),
+        )
+        coeffs = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=4)
+        terms = st.dictionaries(st.tuples(*[exp] * nv), coeffs, min_size=1, max_size=4)
+        a = LaurentPoly(nv, data.draw(terms))
+        b = LaurentPoly(nv, data.draw(terms))
+        if b.is_zero():
+            return
+        assert (a * b).divide(b) == a
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_divide_one_negative_component_is_none(self, data):
+        # p does not involve x_i and d = m * (c0 + c1 x_i): the first
+        # elimination step meets a quotient exponent of exactly -1 in x_i
+        # and nothing else negative, which must be rejected
+        nv = data.draw(st.integers(1, 6))
+        i = data.draw(st.integers(1, nv))
+        exp = st.integers(-10 ** 6, 10 ** 6)
+        others = st.tuples(*[exp] * nv).map(
+            lambda t: t[: i - 1] + (0,) + t[i:]
+        )
+        coeffs = st.integers(1, 4) | st.integers(-4, -1) | st.fractions(1, 4, max_denominator=4)
+        p = LaurentPoly(nv, data.draw(st.dictionaries(others, coeffs, min_size=1, max_size=4)))
+        m = LaurentPoly(nv, {data.draw(st.tuples(*[exp] * nv)): data.draw(coeffs)})
+        d = m * (data.draw(coeffs) + data.draw(coeffs) * LaurentPoly.variable(nv, i))
+        assert p.divide(d) is None
+
+    def test_str_reads_terms_once(self, monkeypatch):
+        a = LaurentPoly(2, {(e, 0): 1 for e in range(50)})
+        b = LaurentPoly(2, {(0, e): 1 for e in range(-20, 20)})
+        p = a * b
+        assert p.term_count() == 2000
+        reads = []
+        unpack = LaurentPoly.terms.fget
+        monkeypatch.setattr(
+            LaurentPoly, "terms", property(lambda self: reads.append(1) or unpack(self))
+        )
+        text = str(p)
+        assert len(reads) == 1
+        assert text.startswith("x1^49*x2^19 + x1^49*x2^18")
+
+    def test_str_text(self):
+        p = LaurentPoly(
+            3,
+            {(2, -1, 0): 3, (1, 0, 0): -1, (0, 0, 0): 2, (0, 1, 1): F(-1, 2), (0, 0, -2): 1},
+        )
+        assert str(p) == "3*x1^2*x2^-1 - x1 - 1/2*x2*x3 + 2 + x3^-2"
+        assert str(LaurentPoly.zero(2)) == "0"
 
     def test_powers(self):
         x = LaurentPoly.variable(1, 1)
@@ -307,3 +392,29 @@ class TestLaurentCheck:
         B = ExchangeMatrix.from_entries(3, {(1, 2): 1})
         with pytest.raises(QuiverError):
             laurent_check(B, Period2Spec(3, ONE_CYCLE, 2), 4)
+
+    # sha256 of the depth-6 values, each value written as its sorted
+    # (exponents, hex coefficient) terms
+    GOLDEN = {
+        "N3#2()": "9f6d9d13fc32021624157bedc95308a9ad27cc37168f8d0198cc0715caa6bfe5",
+        "N4#3(l=1,m=1,n=1,p=1)": "39cbee49634c1efff8fa3b1092c234450c925e3e6328924f9b642f0d5bffb8a2",
+        "N5_1cycle#2(l=1)": "a756bb979d110d9c71da3fb1f939e2e18dcfcf3848aa2e6f21e4226e16e4cc81",
+        "N5_1cycle#7(m=1,n=1)": "52a358a8f59d5fc8d70a2d6c9d8aef42af098a7f38d43b246e5774f1fe16223d",
+        "N5_other#4(m=1)": "3a32541d7f6c2bb5fd9d5c33bf45166603b921fed5d2b5778ff2dec19bf6b634",
+        "N6#3(m=1)": "ade2bc24fde6c6d67e55eadde3df09209b7725e91be2ff36610f14c6e08cc082",
+    }
+
+    def test_golden_values(self):
+        def hex_coeff(c):
+            c = F(c)
+            return f"{c.numerator:#x}/{c.denominator:#x}"
+
+        seen = {}
+        for fid, spec, B in fm.regression_instances(1):
+            if str(fid) in self.GOLDEN:
+                h = hashlib.sha256()
+                for value in laurent_check(B, spec, 6).values:
+                    terms = sorted((e, hex_coeff(c)) for e, c in value.terms.items())
+                    h.update(repr(terms).encode() + b";")
+                seen[str(fid)] = h.hexdigest()
+        assert seen == self.GOLDEN

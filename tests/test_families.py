@@ -100,6 +100,12 @@ def test_verify_theorem_unknown():
         verify_theorem("N9", 2)
 
 
+def test_verify_theorem_negative_max_param():
+    # a negative bound instantiates no family, which must not read as a pass
+    with pytest.raises(QuiverError, match="max_param"):
+        verify_theorem("N4", -1)
+
+
 def test_section_family_tags():
     for tag in ("s81", "s82", "s83", "s84", "s85", "s86"):
         family, pname = fm.section_family(tag)
