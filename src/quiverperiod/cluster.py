@@ -6,14 +6,17 @@ values (the y-variables) are always positive fractions.
 
 Exponent vectors are packed into single integers (64 bits per variable with a
 large positive bias), so multiplying monomials is one integer addition; all
-packing is internal to this module.
+packing is internal to this module.  Numeric orbits run on S-integers
+(_SInt), which run_orbit hands back as Fractions.
 """
 
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, prod
 from typing import Sequence
 
 from .quiver import (
@@ -51,9 +54,13 @@ def _pack_zero(nvars: int) -> int:
     return _pack((0,) * nvars)
 
 
-def _drop_zeros(terms: dict) -> dict:
+def _drop_zeros(terms: dict, *factors: dict) -> dict:
+    """Drop zeros; integral Fractions become ints if a factor had Fractions."""
     for e in [e for e, c in terms.items() if not c]:
         del terms[e]
+    if any(Fraction in map(type, f.values()) for f in factors):
+        for e, c in terms.items():
+            terms[e] = _norm_coeff(c)
     return terms
 
 
@@ -168,7 +175,7 @@ class LaurentPoly:
             for e2, c2 in small_items:
                 e = e1 + e2
                 terms[e] = get(e, 0) + c1 * c2
-        return LaurentPoly._raw(self.nvars, _drop_zeros(terms))
+        return LaurentPoly._raw(self.nvars, _drop_zeros(terms, small, big))
 
     __rmul__ = __mul__
 
@@ -186,7 +193,7 @@ class LaurentPoly:
             for e2, c2 in items[i + 1:]:
                 e = e1z + e2
                 terms[e] = get(e, 0) + c1x2 * c2
-        return LaurentPoly._raw(self.nvars, _drop_zeros(terms))
+        return LaurentPoly._raw(self.nvars, _drop_zeros(terms, self._terms))
 
     def __pow__(self, exp: int):
         if exp < 0:
@@ -362,6 +369,139 @@ def _exact_div(p_terms: dict, d_terms: dict, nvars: int, zero: int):
     return quo
 
 
+class _SBase:
+    """A coprime base S of the values of one run, by gcd refinement: an
+    element b sharing a factor g with a new unit part is replaced by a
+    coprime base of g and b // g (the first in b's slot), and log keeps b's
+    multiplicity in each, to re-express older exponent vectors."""
+
+    def __init__(self, values):
+        self.elems, self.log = [], []
+        for x in (p for v in values for p in (v.numerator, v.denominator)):
+            n = abs(self.strip(x, [0] * len(self.elems))[0])
+            if n > 1:
+                self.elems.append(n)
+
+    def reexpress(self, exps, ver: int) -> list:
+        """exps, written when the log had ver entries, in the current base."""
+        exps = list(exps)
+        for i, mult in self.log[ver:]:
+            e = exps[i]
+            exps[i] = e * mult[0]
+            exps += [e * m for m in mult[1:]]
+        return exps
+
+    def lift(self, v) -> "_SInt | None":
+        """The int or Fraction v as an S-integer, or None outside Z[1/S]."""
+        den, exps = self.strip(v.denominator, [0] * len(self.elems))
+        num, exps = self.strip(v.numerator, [-e for e in exps])
+        return _SInt(self, num, exps, v) if den == 1 else None
+
+    def strip(self, n: int, exps: list) -> tuple[int, list]:
+        """n divided by the elements, counted into exps, until coprime to all."""
+        if not n:
+            return 0, [0] * len(self.elems)
+        i = 0
+        while i < len(self.elems):
+            b = self.elems[i]
+            while not (r := n % b):
+                n, exps[i] = n // b, exps[i] + 1
+            if (g := gcd(r, b)) == 1:
+                i += 1
+                continue
+            parts = _SBase((g, b // g))
+            self.log.append((i, parts.lift(b).exps))
+            self.elems[i] = parts.elems[0]
+            self.elems += parts.elems[1:]
+            exps = self.reexpress(exps, len(self.log) - 1)
+        return n, exps
+
+
+@numbers.Rational.register
+class _SInt:
+    """n * prod(b ** e for b, e in zip(S, exps)) in Z[1/S], S = base.elems,
+    with n coprime to all of S: a unique form, so no operation takes a gcd.
+    Results outside Z[1/S] are Fractions.  Fraction(v) takes the pair as is."""
+
+    __slots__ = ("base", "n", "exps", "ver", "src", "_pair")
+
+    def __init__(self, base: _SBase, n: int, exps, src=None):
+        self.base, self.n, self.exps, self.ver = base, n, tuple(exps), len(base.log)
+        self.src, self._pair = src, None  # src: the int or Fraction lifted
+
+    def _exps(self) -> tuple:
+        if self.ver != len(self.base.log):
+            self.exps = tuple(self.base.reexpress(self.exps, self.ver))
+            self.ver = len(self.base.log)
+        return self.exps
+
+    def _coerce(self, other) -> "_SInt | None":
+        if isinstance(other, _SInt) and other.base is self.base:
+            return other
+        return self.base.lift(other) if isinstance(other, (int, Fraction)) else None
+
+    def _fraction(self) -> tuple[int, int]:
+        if self._pair is None:
+            pairs = list(zip(self.base.elems, self._exps()))
+            self._pair = (self.n * prod(b ** e for b, e in pairs if e > 0),
+                          prod(b ** -e for b, e in pairs if e < 0))
+        return self._pair
+
+    numerator = property(lambda self: self._fraction()[0])
+    denominator = property(lambda self: self._fraction()[1])
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return Fraction(self) * _plain(other)
+        return _SInt(self.base, self.n * o.n, [a + b for a, b in zip(self._exps(), o._exps())])
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return Fraction(self) + _plain(other)
+        ea, eb, elems = self._exps(), o._exps(), self.base.elems
+        low = list(map(min, ea, eb))
+        fa = prod(b ** (e - m) for b, e, m in zip(elems, ea, low))
+        fb = prod(b ** (e - m) for b, e, m in zip(elems, eb, low))
+        n, exps = self.base.strip(self.n * fa + o.n * fb, low)
+        return _SInt(self.base, n, exps)
+
+    __radd__ = __add__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is not None and o.n:
+            q, r = divmod(self.n, o.n)
+            if not r:
+                return _SInt(self.base, q, [a - b for a, b in zip(self._exps(), o._exps())])
+        return Fraction(self) / _plain(other)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return other / Fraction(self) if o is None else o / self
+
+    def __pow__(self, k):
+        if isinstance(k, int) and k >= 0:
+            return _SInt(self.base, self.n ** k, [e * k for e in self._exps()])
+        return Fraction(self) ** k
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return Fraction(self) == _plain(other)
+        return self.n == o.n and self._exps() == o._exps()
+
+
+def _plain(v):
+    """The int or Fraction an S-integer stands for; other values unchanged."""
+    if not isinstance(v, _SInt):
+        return v
+    return Fraction(v) if v.src is None else v.src
+
+
 @dataclass(frozen=True)
 class Seed:
     """Exchange matrix with cluster values x and coefficient values y."""
@@ -511,6 +651,9 @@ def run_orbit(
     seq: dict[str, list] = {"z": [], "y": [], "A": [], "B": []}
     states = [s0] if keep_states else None
     state = s0
+    if all(isinstance(v, (int, Fraction)) for v in s0.x):
+        base = _SBase(s0.x)
+        state = Seed(s0.B, tuple(map(base.lift, s0.x)), s0.y)
     for u in range(steps):
         if u % 2 == 0:
             seq["z"].append(state.x[0])
@@ -522,7 +665,9 @@ def run_orbit(
             state = mutate_seed(state, k)
             state = relabel_seed(state, sigma)
         if keep_states:
-            states.append(state)
+            states.append(Seed(state.B, tuple(map(_plain, state.x)), state.y))
+    for name in ("z", "y"):
+        seq[name] = list(map(_plain, seq[name]))
     return OrbitTrace(spec, s0.B, steps, seq, states)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .cluster import OrbitTrace, Seed, run_orbit
+from .cluster import OrbitTrace, Seed, _plain, _SBase, run_orbit
 from .quiver import (
     ONE_CYCLE,
     TWO_CYCLE,
@@ -446,8 +446,10 @@ def iterate_system(
     step that produces a value whose numerator or denominator has more than
     bit_budget bits; the number of steps taken is then
     len(result["z"]) - required_window(sys)["z"].  Returns the extended
-    sequences as Fractions.
+    sequences as Fractions; a T-kind system runs on S-integers (cluster._SInt).
     """
+    if steps < 0:
+        raise QuiverError("steps must be >= 0")
     need = required_window(sys)
     _check_slots(sys, need)
     seqs: dict[str, list] = {}
@@ -467,6 +469,9 @@ def iterate_system(
                 raise QuiverError(f"Z[{name!r}] must provide at least {steps} values")
     elif Z is not None:
         raise QuiverError("Z sequences are only accepted for TZ-kind systems")
+    if sys.kind == "T":
+        base = _SBase(v for vals in seqs.values() for v in vals)
+        seqs = {name: [base.lift(v) for v in vals] for name, vals in seqs.items()}
 
     def rhs(eq: EquationSpec, q: int) -> Fraction:
         if sys.kind in ("T", "TZ"):
@@ -493,7 +498,7 @@ def iterate_system(
             seqs[eq.lhs[1][0]].append(val)
         if bit_budget is not None and max(bits(seqs["z"][-1]), bits(seqs["y"][-1])) > bit_budget:
             break
-    return seqs
+    return {name: [_plain(v) for v in vals] for name, vals in seqs.items()}
 
 
 # ---------------------------------------------------------------------------

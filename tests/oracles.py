@@ -53,3 +53,26 @@ def somos4_direct(C, exponent: int, initial, steps: int):
     for q in range(steps):
         z.append((z[q + 1] * z[q + 3] + Fraction(C) * z[q + 2] ** exponent) / z[q])
     return z
+
+
+def t_iterate_direct(sys, window, steps: int, Z=None):
+    """A T- (or TZ-) system iterated on plain Fractions: at each step q, eq1
+    then eq2 sets lhs[1] = Z(q) * (plus monomial + minus monomial) / lhs[0]."""
+    from fractions import Fraction
+
+    seqs = {name: [Fraction(v) for v in window.get(name, ())] for name in ("z", "y")}
+
+    def monomial(table, q):
+        out = Fraction(1)
+        for (seq, off), e in table.items():
+            out *= seqs[seq][q + off] ** e
+        return out
+
+    for q in range(steps):
+        for name, eq in zip("zy", (sys.eq1, sys.eq2)):
+            val = monomial(eq.plus, q) + monomial(eq.minus, q)
+            if Z is not None:
+                val *= Fraction(Z[name][q])
+            seq, off = eq.lhs[0]
+            seqs[eq.lhs[1][0]].append(val / seqs[seq][q + off])
+    return seqs

@@ -460,8 +460,11 @@ def test_criterion_12_laurent_suite():
         for fam in fm._FAMILIES
         for fid, _ in fm.iter_instances(fam, 2)
     ]
+    # heaviest first by total arrow weight, one task per hand-out, so that
+    # no 30-45 s instance waits in the tail of a large chunk
+    tasks.sort(key=_arrow_weight, reverse=True)
     with mp.Pool(2) as pool:
-        results = pool.map(_laurent_task, tasks)
+        results = list(pool.imap_unordered(_laurent_task, tasks, chunksize=1))
     bad = [name for name, ok in results if not ok]
     dt = time.monotonic() - t0
     assert not bad, bad
@@ -472,6 +475,11 @@ def test_criterion_12_laurent_suite():
         dt < 300.0,
         f"{dt:.1f}s",
     )
+
+
+def _arrow_weight(task):
+    key, params = task
+    return sum(abs(b) for b in fm.FAMILY_BY_KEY[key].matrix(**params).flatten())
 
 
 def _laurent_task(args):

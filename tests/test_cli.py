@@ -253,6 +253,18 @@ class TestTsysCommands:
         assert code == 1 and out == ""
         assert "step 4 of 40" in err and "200 bits" in err
 
+    def test_iterate_negative_steps_exit_2(self, tmp_path, capsys):
+        spath = tmp_path / "sys.json"
+        spath.write_text(_n4_system())
+        ipath = tmp_path / "init.json"
+        ipath.write_text(_GOOD_INIT)
+        code, out, err = run_cli(
+            ["tsys", "iterate", "--system", str(spath), "--init", str(ipath), "--steps", "-3"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "steps" in err
+
 
 def _n4_system(**eq1_changes):
     family = fm.FAMILY_BY_KEY["n4-k2-1"]

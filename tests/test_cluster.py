@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from quiverperiod import (
     run_orbit,
 )
 import quiverperiod.families as fm
+from quiverperiod.cluster import _SBase
 
 MARKOV = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 
@@ -133,9 +135,8 @@ class TestLaurentPoly:
     @settings(max_examples=150, deadline=None)
     def test_power_matches_repeated_product(self, data):
         # __pow__ squares with _square; the k-fold product goes through
-        # __mul__ only.  Signed coefficients: the terms must be equal.
-        # Positive coefficients never cancel, so the int/Fraction type of
-        # each coefficient is fixed by which terms meet and must match too.
+        # __mul__ only.  The terms must be equal, and so must the int/Fraction
+        # type of each coefficient, which products fix by its value.
         nv = data.draw(st.integers(1, 3))
         exps = st.tuples(*[st.integers(-3, 3)] * nv)
         positive = data.draw(st.booleans())
@@ -149,10 +150,32 @@ class TestLaurentPoly:
             product = product * p
         power = p ** k
         assert power.terms == product.terms
-        if positive:
-            assert {e: type(c) for e, c in power.terms.items()} == {
-                e: type(c) for e, c in product.terms.items()
+        assert {e: type(c) for e, c in power.terms.items()} == {
+            e: type(c) for e, c in product.terms.items()
+        }
+
+    def test_power_and_product_coefficient_types_agree(self):
+        # int and Fraction terms that cancel part-way used to leave a
+        # Fraction with denominator 1 whose presence depended on the order
+        # of multiplication
+        rng = random.Random(89)
+        coeffs = [1, -1, 2, -2, F(1, 2), F(-1, 2)]
+        for _ in range(600):
+            nv = rng.randint(1, 3)
+            terms = {
+                tuple(rng.randint(-2, 2) for _ in range(nv)): rng.choice(coeffs)
+                for _ in range(rng.randint(1, 5))
             }
+            p = LaurentPoly(nv, terms)
+            k = rng.randint(2, 4)
+            product = p
+            for _ in range(k - 1):
+                product = product * p
+            power = p ** k
+            assert power == product
+            for e, c in power.terms.items():
+                assert type(c) is type(product.terms[e]), (p, k, e)
+                assert type(c) is int or c.denominator != 1
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -296,6 +319,34 @@ class TestSeedMutation:
             for _ in range(4):
                 s = mutate_seed(s, rng.randint(1, n))
                 assert all(v > 0 for v in s.y)
+
+
+class TestSIntegers:
+    def test_base_splits_and_older_values_follow(self):
+        # a window holding only 6 has the base {6}; 1 + 1 has the unit part
+        # 2, which shares a factor with 6, so 6 splits into 3 and 2 and the
+        # values made before are re-expressed in the new base
+        base = _SBase([F(6)])
+        six, one = base.lift(F(6)), base.lift(1)
+        assert base.elems == [6] and (six.n, six.exps) == (1, (1,))
+        two = one + one
+        assert sorted(base.elems) == [2, 3] and two.n == 1
+        for v, want in ((six, 6), (two, 2), (six * two, 12), (six / base.lift(9), F(2, 3))):
+            assert F(v) == want and v.n == 1 and len(v._exps()) == 2
+        assert base.lift(F(1, 5)) is None
+        quotient = two / base.lift(5)  # 2/5 is not in Z[1/6]: a remainder
+        assert type(quotient) is F and quotient == F(2, 5)
+
+    def test_run_orbit_keeps_input_types(self):
+        # values never replaced keep the type they came in with
+        B = fm.FAMILY_BY_KEY["n4-k2-1"].matrix(n=1)
+        x0 = (1, F(2, 3), -3, F(5))
+        tr = run_orbit(Seed(B, x0, (F(1),) * 4), Period2Spec(4, ONE_CYCLE, 2), 6)
+        assert [type(v) for v in tr.seq["z"]] == [int, F, int]
+        assert [type(v) for v in tr.seq["y"]] == [F, F, F]
+        assert [[type(v) for v in s.x] for s in tr.states[:5]] == [
+            [int, F, int, F], [F, F, int, F], [F, F, F, int], [F, F, F, int], [int, F, F, F]
+        ]
 
 
 class TestRunOrbit:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -28,9 +29,9 @@ from quiverperiod import (
     verify_periodic,
 )
 import quiverperiod.families as fm
-from quiverperiod.systems import lambdas_at, vertex_at
+from quiverperiod.systems import DEFAULT_BIT_BUDGET, lambdas_at, vertex_at
 
-from oracles import somos4_direct
+from oracles import somos4_direct, t_iterate_direct
 
 
 def tsys(key, **params):
@@ -311,6 +312,99 @@ class TestIterate:
             assert seqs["y"][:ylen] == trace.seq["y"][:ylen], str(fid)
             checked += 1
         assert checked > 150
+
+
+def _smooth_part_removed(d, primes):
+    for p in primes:
+        while d % p == 0:
+            d //= p
+    return d
+
+
+# cluster windows for the S-integer engine: large primes, negative entries,
+# windows whose only entries are composites (10 and 15 give the base
+# {2, 3, 5} by gcd refinement, while the base {6} of the 6 window splits when
+# a value's unit part turns out even), and a seeded window of signed entries
+_ENGINE_RNG = random.Random(97)
+ENGINE_WINDOWS = {
+    "large-primes": (F(10007, 65537), F(65537), F(3, 10007), F(2), F(65537, 4)),
+    "negative": (F(-2, 3), F(5), F(-1, 4), F(3, -7), F(-9, 2)),
+    "six": (F(6), F(6), F(6), F(1, 6), F(1)),
+    "ten-fifteen": (F(10), F(15), F(1, 15), F(10), F(1, 10)),
+    "seeded": tuple(
+        F(_ENGINE_RNG.choice((-1, 1)) * _ENGINE_RNG.randint(1, 30), _ENGINE_RNG.randint(1, 30))
+        for _ in range(5)
+    ),
+}
+ENGINE_SYSTEMS = {"n4-k2-1": ({"n": 1}, 16), "n5-2c3-1": ({"m": 0, "n": 1, "p": 1}, 9)}
+
+
+class TestSIntegerEngine:
+    """iterate_system and run_orbit against a plain-Fraction iteration."""
+
+    @pytest.mark.parametrize("key", sorted(ENGINE_SYSTEMS))
+    @pytest.mark.parametrize("window", sorted(ENGINE_WINDOWS))
+    def test_matches_fraction_oracle(self, key, window):
+        params, steps = ENGINE_SYSTEMS[key]
+        sys, family = tsys(key, **params)
+        x0 = ENGINE_WINDOWS[window][: family.spec.n]
+        init = initial_window_from_seed(sys, x0)
+        expected = t_iterate_direct(sys, init, steps)
+        seqs = iterate_system(sys, init, steps)
+        assert seqs == expected
+        for v in seqs["z"] + seqs["y"]:
+            assert type(v) is F and v.denominator > 0
+            assert gcd(v.numerator, v.denominator) == 1
+        need = required_window(sys)
+        y0 = tuple(F(1) for _ in x0)
+        trace = run_orbit(Seed(family.matrix(**params), x0, y0), family.spec,
+                          2 * (steps + max(need.values())))
+        for s in ("z", "y"):
+            common = min(len(trace.seq[s]), len(expected[s]))
+            assert common > need[s] + steps - 2
+            assert trace.seq[s][:common] == expected[s][:common]
+            assert all(type(v) is F for v in trace.seq[s])
+        assert trace.states[0].x == x0
+        assert all(type(v) is F for state in trace.states for v in state.x)
+
+    def test_zero_divisor_matches_oracle(self):
+        sys, _ = tsys("n4-k2-1", n=1)
+        window = {"z": [F(6), F(0), F(-3, 5)], "y": [F(10)]}
+        with pytest.raises(ZeroDivisionError):
+            t_iterate_direct(sys, window, 4)
+        with pytest.raises(ZeroDivisionError, match="zero divisor at q=1"):
+            iterate_system(sys, window, 4)
+
+    def test_non_laurent_system_falls_back(self):
+        # a hand-written system-v1 file whose exchange quotients leave Z[1/S]
+        data = tsys("n4-k2-1", n=1)[0].to_dict()
+        data["eq1"]["plus"] = [[s, o, 2 * e] for s, o, e in data["eq1"]["plus"]]
+        sys = SystemSpec.from_dict(data)
+        window = {"z": [F(2), F(3), F(1, 2)], "y": [F(3, 4)]}
+        seqs = iterate_system(sys, window, 6)
+        assert seqs == t_iterate_direct(sys, window, 6)
+        assert all(type(v) is F for v in seqs["z"] + seqs["y"])
+        assert any(_smooth_part_removed(v.denominator, (2, 3)) > 1 for v in seqs["z"])
+
+    def test_tz_bump_matches_oracle(self):
+        sys, _ = tsys("n4-k2-1", n=1)
+        tz = SystemSpec("TZ", sys.spec, sys.B0, sys.eq1, sys.eq2)
+        Z = {"z": [F(1)] * 12, "y": [F(1)] * 12}
+        Z["y"][3] = F(3)
+        window = {"z": [F(6), F(-5, 2), F(7)], "y": [F(10)]}
+        assert iterate_system(tz, window, 12, Z=Z) == t_iterate_direct(tz, window, 12, Z=Z)
+
+    def test_default_budget_stop_step_unchanged(self):
+        sys, _ = tsys("n4-k2-1", n=2)
+        window = {"z": [F(1), F(2), F(3)], "y": [F(2)]}
+        seqs = iterate_system(sys, window, 40, bit_budget=DEFAULT_BIT_BUDGET)
+        assert len(seqs["z"]) - 3 == 10
+
+        def bits(v):
+            return max(v.numerator.bit_length(), v.denominator.bit_length())
+
+        assert max(bits(seqs["z"][11]), bits(seqs["y"][9])) <= DEFAULT_BIT_BUDGET
+        assert max(bits(seqs["z"][12]), bits(seqs["y"][10])) > DEFAULT_BIT_BUDGET
 
 
 class TestPeriodicQuantities:
