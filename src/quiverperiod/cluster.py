@@ -6,8 +6,7 @@ values (the y-variables) are always positive fractions.
 
 Exponent vectors are packed into single integers (64 bits per variable with a
 large positive bias), so multiplying monomials is one integer addition; all
-packing is internal to this module.  Numeric orbits run on S-integers
-(_SInt), which run_orbit hands back as Fractions.
+packing is internal to this module.
 """
 
 from __future__ import annotations
@@ -54,13 +53,13 @@ def _pack_zero(nvars: int) -> int:
     return _pack((0,) * nvars)
 
 
-def _drop_zeros(terms: dict, *factors: dict) -> dict:
-    """Drop zeros; integral Fractions become ints if a factor had Fractions."""
-    for e in [e for e, c in terms.items() if not c]:
-        del terms[e]
-    if any(Fraction in map(type, f.values()) for f in factors):
-        for e, c in terms.items():
-            terms[e] = _norm_coeff(c)
+def _drop_zeros(terms: dict) -> dict:
+    """Drop zero coefficients and turn integral Fractions into ints."""
+    for e in [e for e, c in terms.items() if not c or type(c) is Fraction and c.denominator == 1]:
+        if c := terms[e]:
+            terms[e] = int(c)
+        else:
+            del terms[e]
     return terms
 
 
@@ -175,7 +174,7 @@ class LaurentPoly:
             for e2, c2 in small_items:
                 e = e1 + e2
                 terms[e] = get(e, 0) + c1 * c2
-        return LaurentPoly._raw(self.nvars, _drop_zeros(terms, small, big))
+        return LaurentPoly._raw(self.nvars, _drop_zeros(terms))
 
     __rmul__ = __mul__
 
@@ -193,7 +192,7 @@ class LaurentPoly:
             for e2, c2 in items[i + 1:]:
                 e = e1z + e2
                 terms[e] = get(e, 0) + c1x2 * c2
-        return LaurentPoly._raw(self.nvars, _drop_zeros(terms, self._terms))
+        return LaurentPoly._raw(self.nvars, _drop_zeros(terms))
 
     def __pow__(self, exp: int):
         if exp < 0:
@@ -370,10 +369,9 @@ def _exact_div(p_terms: dict, d_terms: dict, nvars: int, zero: int):
 
 
 class _SBase:
-    """A coprime base S of the values of one run, by gcd refinement: an
-    element b sharing a factor g with a new unit part is replaced by a
-    coprime base of g and b // g (the first in b's slot), and log keeps b's
-    multiplicity in each, to re-express older exponent vectors."""
+    """A coprime base S of one run's values, by gcd refinement: an element b
+    sharing a factor with a new unit part gives way to a coprime base of that
+    factor and its cofactor; log keeps b in it, to re-express older exps."""
 
     def __init__(self, values):
         self.elems, self.log = [], []
@@ -419,15 +417,15 @@ class _SBase:
 
 @numbers.Rational.register
 class _SInt:
-    """n * prod(b ** e for b, e in zip(S, exps)) in Z[1/S], S = base.elems,
-    with n coprime to all of S: a unique form, so no operation takes a gcd.
-    Results outside Z[1/S] are Fractions.  Fraction(v) takes the pair as is."""
+    """n * prod(b ** e for b, e in zip(S, exps)), n coprime to S = base.elems:
+    a unique form (zero has exps 0), so no operation takes a gcd.  Results
+    outside Z[1/S] are Fractions.  Fraction(v) takes the pair as is."""
 
-    __slots__ = ("base", "n", "exps", "ver", "src", "_pair")
+    __slots__ = ("base", "n", "exps", "ver", "src", "_pair")  # src: v lifted
 
     def __init__(self, base: _SBase, n: int, exps, src=None):
-        self.base, self.n, self.exps, self.ver = base, n, tuple(exps), len(base.log)
-        self.src, self._pair = src, None  # src: the int or Fraction lifted
+        self.base, self.n, self.ver, self.src, self._pair = base, n, len(base.log), src, None
+        self.exps = tuple(exps) if n else (0,) * len(exps)
 
     def _exps(self) -> tuple:
         if self.ver != len(self.base.log):
@@ -466,8 +464,7 @@ class _SInt:
         low = list(map(min, ea, eb))
         fa = prod(b ** (e - m) for b, e, m in zip(elems, ea, low))
         fb = prod(b ** (e - m) for b, e, m in zip(elems, eb, low))
-        n, exps = self.base.strip(self.n * fa + o.n * fb, low)
-        return _SInt(self.base, n, exps)
+        return _SInt(self.base, *self.base.strip(self.n * fa + o.n * fb, low))
 
     __radd__ = __add__
 
@@ -493,6 +490,12 @@ class _SInt:
         if o is None:
             return Fraction(self) == _plain(other)
         return self.n == o.n and self._exps() == o._exps()
+
+
+def _lift_all(*groups: Sequence) -> list[list]:
+    """Each group of ints and Fractions as S-integers over one common base."""
+    base = _SBase(v for g in groups for v in g)
+    return [[base.lift(v) for v in g] for g in groups]
 
 
 def _plain(v):
@@ -652,8 +655,7 @@ def run_orbit(
     states = [s0] if keep_states else None
     state = s0
     if all(isinstance(v, (int, Fraction)) for v in s0.x):
-        base = _SBase(s0.x)
-        state = Seed(s0.B, tuple(map(base.lift, s0.x)), s0.y)
+        state = Seed(s0.B, tuple(_lift_all(s0.x)[0]), s0.y)
     for u in range(steps):
         if u % 2 == 0:
             seq["z"].append(state.x[0])
@@ -666,8 +668,7 @@ def run_orbit(
             state = relabel_seed(state, sigma)
         if keep_states:
             states.append(Seed(state.B, tuple(map(_plain, state.x)), state.y))
-    for name in ("z", "y"):
-        seq[name] = list(map(_plain, seq[name]))
+    seq["z"], seq["y"] = (list(map(_plain, seq[name])) for name in "zy")
     return OrbitTrace(spec, s0.B, steps, seq, states)
 
 

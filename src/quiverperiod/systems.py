@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .cluster import OrbitTrace, Seed, _plain, _SBase, run_orbit
+from .cluster import OrbitTrace, Seed, _lift_all, _plain, run_orbit
 from .quiver import (
     ONE_CYCLE,
     TWO_CYCLE,
@@ -470,8 +470,7 @@ def iterate_system(
     elif Z is not None:
         raise QuiverError("Z sequences are only accepted for TZ-kind systems")
     if sys.kind == "T":
-        base = _SBase(v for vals in seqs.values() for v in vals)
-        seqs = {name: [base.lift(v) for v in vals] for name, vals in seqs.items()}
+        seqs = dict(zip(seqs, _lift_all(*seqs.values())))
 
     def rhs(eq: EquationSpec, q: int) -> Fraction:
         if sys.kind in ("T", "TZ"):

@@ -29,6 +29,7 @@ from quiverperiod import (
     verify_periodic,
 )
 import quiverperiod.families as fm
+from quiverperiod.formats import _frac_str
 from quiverperiod.systems import DEFAULT_BIT_BUDGET, lambdas_at, vertex_at
 
 from oracles import somos4_direct, t_iterate_direct
@@ -374,6 +375,20 @@ class TestSIntegerEngine:
             t_iterate_direct(sys, window, 4)
         with pytest.raises(ZeroDivisionError, match="zero divisor at q=1"):
             iterate_system(sys, window, 4)
+
+    def test_cancelled_value_is_canonical_zero(self):
+        # z(1) * y(0) + 1 cancels, over the divisor z(0) = 2 of the base
+        sys, family = tsys("n4-k2-1", n=1)
+        window = {"z": [F(2), F(-1, 3), F(5)], "y": [F(3)]}
+        zero = iterate_system(sys, window, 1)["y"][1]
+        assert type(zero) is F and zero == 0 and zero.denominator == 1
+        assert _frac_str(zero) == "0"
+        with pytest.raises(ZeroDivisionError, match="zero divisor at q=1"):
+            iterate_system(sys, window, 2)
+        seed = Seed(family.matrix(n=1), (F(2), F(-1, 3), F(5), F(3)), (F(1),) * 4)
+        assert run_orbit(seed, family.spec, 1).states[1].x[0].denominator == 1
+        with pytest.raises(ZeroDivisionError, match="cluster value x_k is zero"):
+            run_orbit(seed, family.spec, 8, keep_states=False)
 
     def test_non_laurent_system_falls_back(self):
         # a hand-written system-v1 file whose exchange quotients leave Z[1/S]
