@@ -10,10 +10,9 @@ from quiverperiod.formats import quiver_to_json
 
 
 def specs_for(n: int):
-    for k in range(2, (n + 1) // 2 + 1):
-        yield Period2Spec(n, ONE_CYCLE, k)
-    for k in range(2, (n + 2) // 2 + 1):
-        yield Period2Spec(n, TWO_CYCLE, k)
+    for shape in (ONE_CYCLE, TWO_CYCLE):
+        specs = (Period2Spec(n, shape, k) for k in range(2, n + 1))
+        yield from filter(Period2Spec.in_canonical_range, specs)
 
 
 def main() -> int:

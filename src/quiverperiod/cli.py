@@ -229,15 +229,15 @@ def cmd_tsys_verify_periodic(args) -> int:
         tmpl = parse_template(args.template, claimed_period=args.period)
     horizon = args.horizon
     if horizon is None:
-        horizon = (
-            min(len(trace.seq["z"]), len(trace.seq["y"]))
-            - tmpl.max_offset()
-            - tmpl.claimed_period
-        )
+        length = min(len(trace.seq["z"]), len(trace.seq["y"]))
+        horizon = length - tmpl.max_offset() - tmpl.claimed_period
     try:
         rep = verify_periodic(trace.seq, tmpl, horizon)
-    except QuiverError as exc:
+    except ZeroDivisionError as exc:
         raise CliError(str(exc), code=EXIT_VERIFY)
+    except QuiverError as exc:  # a trace too short fails; a vacuous check is misuse
+        vacuous = min(horizon, tmpl.claimed_period) < 1
+        raise CliError(str(exc), code=EXIT_USAGE if vacuous else EXIT_VERIFY)
     state = "periodic" if rep.ok else f"fails at q={rep.first_failure}"
     print(f"{tmpl.name}: period {tmpl.claimed_period} over {horizon} steps: {state}")
     return EXIT_OK if rep.ok else EXIT_VERIFY
@@ -277,6 +277,8 @@ def cmd_reproduce(args) -> int:
 def cmd_orbit(args) -> int:
     seed = formats.seed_from_json(_read_text(args.seed))
     spec = _spec_from_args(args, seed.B.n)
+    if args.steps < 0:
+        raise CliError("steps must be >= 0")
     try:
         trace = run_orbit(seed, spec, args.steps, keep_states=False)
     except (QuiverError, ZeroDivisionError) as exc:

@@ -368,50 +368,44 @@ def _exact_div(p_terms: dict, d_terms: dict, nvars: int, zero: int):
     return quo
 
 
+# trial division below 2**16 factors every entry below 2**32 completely, in at
+# most 2**16 steps; a larger entry keeps its unfactored rest as one element
+_TRIAL = 1 << 16
+
+
 class _SBase:
-    """A coprime base S of one run's values, by gcd refinement: an element b
-    sharing a factor with a new unit part gives way to a coprime base of that
-    factor and its cofactor; log keeps b in it, to re-express older exps."""
+    """The fixed coprime base S of one run's values: the primes below _TRIAL
+    of its numerators and denominators, and each one's cofactor > 1 unless it
+    shares a factor with another of them.  It never changes once built."""
 
     def __init__(self, values):
-        self.elems, self.log = [], []
-        for x in (p for v in values for p in (v.numerator, v.denominator)):
-            n = abs(self.strip(x, [0] * len(self.elems))[0])
-            if n > 1:
-                self.elems.append(n)
-
-    def reexpress(self, exps, ver: int) -> list:
-        """exps, written when the log had ver entries, in the current base."""
-        exps = list(exps)
-        for i, mult in self.log[ver:]:
-            e = exps[i]
-            exps[i] = e * mult[0]
-            exps += [e * m for m in mult[1:]]
-        return exps
+        found = set()
+        for x in (abs(p) for v in values for p in (v.numerator, v.denominator)):
+            d = 2
+            while d < _TRIAL and d * d <= x:
+                if x % d:
+                    d += 1
+                else:
+                    x //= d
+                    found.add(d)
+            if x > 1:
+                found.add(x)
+        self.elems = sorted(b for b in found if all(gcd(b, c) == 1 for c in found - {b}))
 
     def lift(self, v) -> "_SInt | None":
         """The int or Fraction v as an S-integer, or None outside Z[1/S]."""
-        den, exps = self.strip(v.denominator, [0] * len(self.elems))
-        num, exps = self.strip(v.numerator, [-e for e in exps])
-        return _SInt(self, num, exps, v) if den == 1 else None
+        den = self.strip(v.denominator, [0] * len(self.elems))
+        num = den and den[0] == 1 and self.strip(v.numerator, [-e for e in den[1]])
+        return _SInt(self, *num, v) if num else None
 
-    def strip(self, n: int, exps: list) -> tuple[int, list]:
-        """n divided by the elements, counted into exps, until coprime to all."""
-        if not n:
-            return 0, [0] * len(self.elems)
-        i = 0
-        while i < len(self.elems):
-            b = self.elems[i]
+    def strip(self, n: int, exps: list) -> tuple[int, list] | None:
+        """n divided by the elements, counted into exps, or None when what is
+        left shares a factor with an element (only a cofactor can)."""
+        for i, b in enumerate(self.elems if n else ()):
             while not (r := n % b):
                 n, exps[i] = n // b, exps[i] + 1
-            if (g := gcd(r, b)) == 1:
-                i += 1
-                continue
-            parts = _SBase((g, b // g))
-            self.log.append((i, parts.lift(b).exps))
-            self.elems[i] = parts.elems[0]
-            self.elems += parts.elems[1:]
-            exps = self.reexpress(exps, len(self.log) - 1)
+            if gcd(r, b) != 1:
+                return None
         return n, exps
 
 
@@ -421,17 +415,11 @@ class _SInt:
     a unique form (zero has exps 0), so no operation takes a gcd.  Results
     outside Z[1/S] are Fractions.  Fraction(v) takes the pair as is."""
 
-    __slots__ = ("base", "n", "exps", "ver", "src", "_pair")  # src: v lifted
+    __slots__ = ("base", "n", "exps", "src", "_pair")  # src: v lifted
 
     def __init__(self, base: _SBase, n: int, exps, src=None):
-        self.base, self.n, self.ver, self.src, self._pair = base, n, len(base.log), src, None
+        self.base, self.n, self.src, self._pair = base, n, src, None
         self.exps = tuple(exps) if n else (0,) * len(exps)
-
-    def _exps(self) -> tuple:
-        if self.ver != len(self.base.log):
-            self.exps = tuple(self.base.reexpress(self.exps, self.ver))
-            self.ver = len(self.base.log)
-        return self.exps
 
     def _coerce(self, other) -> "_SInt | None":
         if isinstance(other, _SInt) and other.base is self.base:
@@ -440,7 +428,7 @@ class _SInt:
 
     def _fraction(self) -> tuple[int, int]:
         if self._pair is None:
-            pairs = list(zip(self.base.elems, self._exps()))
+            pairs = list(zip(self.base.elems, self.exps))
             self._pair = (self.n * prod(b ** e for b, e in pairs if e > 0),
                           prod(b ** -e for b, e in pairs if e < 0))
         return self._pair
@@ -452,19 +440,19 @@ class _SInt:
         o = self._coerce(other)
         if o is None:
             return Fraction(self) * _plain(other)
-        return _SInt(self.base, self.n * o.n, [a + b for a, b in zip(self._exps(), o._exps())])
+        return _SInt(self.base, self.n * o.n, [a + b for a, b in zip(self.exps, o.exps)])
 
     __rmul__ = __mul__
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return Fraction(self) + _plain(other)
-        ea, eb, elems = self._exps(), o._exps(), self.base.elems
-        low = list(map(min, ea, eb))
-        fa = prod(b ** (e - m) for b, e, m in zip(elems, ea, low))
-        fb = prod(b ** (e - m) for b, e, m in zip(elems, eb, low))
-        return _SInt(self.base, *self.base.strip(self.n * fa + o.n * fb, low))
+        if o is not None:
+            elems, low = self.base.elems, list(map(min, self.exps, o.exps))
+            fa = prod(b ** (e - m) for b, e, m in zip(elems, self.exps, low))
+            fb = prod(b ** (e - m) for b, e, m in zip(elems, o.exps, low))
+            if (s := self.base.strip(self.n * fa + o.n * fb, low)) is not None:
+                return _SInt(self.base, *s)
+        return Fraction(self) + _plain(other)
 
     __radd__ = __add__
 
@@ -473,7 +461,7 @@ class _SInt:
         if o is not None and o.n:
             q, r = divmod(self.n, o.n)
             if not r:
-                return _SInt(self.base, q, [a - b for a, b in zip(self._exps(), o._exps())])
+                return _SInt(self.base, q, [a - b for a, b in zip(self.exps, o.exps)])
         return Fraction(self) / _plain(other)
 
     def __rtruediv__(self, other):
@@ -482,20 +470,21 @@ class _SInt:
 
     def __pow__(self, k):
         if isinstance(k, int) and k >= 0:
-            return _SInt(self.base, self.n ** k, [e * k for e in self._exps()])
+            return _SInt(self.base, self.n ** k, [e * k for e in self.exps])
         return Fraction(self) ** k
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return Fraction(self) == _plain(other)
-        return self.n == o.n and self._exps() == o._exps()
+        return self.n == o.n and self.exps == o.exps
 
 
 def _lift_all(*groups: Sequence) -> list[list]:
-    """Each group of ints and Fractions as S-integers over one common base."""
+    """Each group of ints and Fractions as S-integers over one common base;
+    a value outside Z[1/S] stays as it is."""
     base = _SBase(v for g in groups for v in g)
-    return [[base.lift(v) for v in g] for g in groups]
+    return [[v if (s := base.lift(v)) is None else s for v in g] for g in groups]
 
 
 def _plain(v):

@@ -652,6 +652,8 @@ def parse_template(text: str, claimed_period: int = 1, name: str = "custom") -> 
         monomials = []
         for term in split_terms(s):
             term = strip_parens(term)
+            if not term or term.endswith("*"):
+                raise QuiverError(f"empty term or factor in template {text!r}")
             factors = []
             coeff = 1
             rest = term
@@ -695,6 +697,8 @@ def verify_periodic(
     if isinstance(seqs, OrbitTrace):
         seqs = seqs.seq
     period = template.claimed_period
+    if min(horizon, period) < 1:
+        raise QuiverError(f"horizon ({horizon}) and period ({period}) must be >= 1")
     need = horizon + period + template.max_offset()
     for name in ("z", "y"):
         used = any(
@@ -709,14 +713,8 @@ def verify_periodic(
                 f"have {len(seqs[name])}"
             )
     values = [template.eval_at(seqs, q) for q in range(horizon + period)]
-    ok = True
-    first_failure = None
-    for q in range(horizon):
-        if values[q + period] != values[q]:
-            ok = False
-            first_failure = q
-            break
-    return PeriodicReport(template, horizon, ok, first_failure, values)
+    first_failure = next((q for q in range(horizon) if values[q + period] != values[q]), None)
+    return PeriodicReport(template, horizon, first_failure is None, first_failure, values)
 
 
 def template_search(

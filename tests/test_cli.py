@@ -315,7 +315,49 @@ def test_malformed_input_file_exit_2(case, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+_LONG_TRACE = json.dumps({**_N4_TRACE, "z": ["1"] * 8, "y": ["1"] * 8})
+VACUOUS = {
+    "horizon-negative": ["--template", "builtin:s81", "--horizon", "-5"],
+    "horizon-zero": ["--template", "builtin:s81", "--horizon", "0"],
+    "period-zero": ["--template", "z(q)/y(q)", "--period", "0"],
+    "period-negative": ["--template", "z(q)/y(q)", "--period", "-2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(VACUOUS))
+def test_vacuous_periodicity_check_exit_2(case, tmp_path, capsys):
+    (tmp_path / "trace.json").write_text(_LONG_TRACE)
+    argv = ["tsys", "verify-periodic", "--trace", str(tmp_path / "trace.json")]
+    code, out, err = run_cli(argv + VACUOUS[case], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "must be >= 1" in err
+
+
+def test_vanishing_template_denominator_exit_1(tmp_path, capsys):
+    (tmp_path / "trace.json").write_text(_LONG_TRACE)
+    code, out, err = run_cli(
+        ["tsys", "verify-periodic", "--trace", str(tmp_path / "trace.json"),
+         "--template", "z(q)/0"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: template custom denominator vanished at q=0\n"
+
+
 class TestOrbitCommand:
+    def test_negative_steps_exit_2(self, tmp_path, capsys):
+        B = fm.FAMILY_BY_KEY["n4-k2-1"].matrix(n=1)
+        seed = {"format": "quiverperiod/seed-v1", "n": 4, "b": [list(r) for r in B.rows],
+                "x": ["1"] * 4, "y": ["1"] * 4}
+        spath = tmp_path / "seed.json"
+        spath.write_text(json.dumps(seed))
+        argv = ["orbit", "--seed", str(spath), "--shape", "1cycle", "--steps"]
+        code, out, err = run_cli(argv + ["-1", "--k", "2"], capsys)
+        assert code == 2 and out == "" and err == "error: steps must be >= 0\n"
+        # a seed that fails its period-2 equation is a failed check
+        code, _, err = run_cli(argv + ["2", "--k", "3"], capsys)
+        assert code == 1 and "period-2 equation" in err
+
     def test_orbit_trace_and_csv(self, tmp_path, capsys):
         B = fm.FAMILY_BY_KEY["n4-k2-1"].matrix(n=1)
         seed = {

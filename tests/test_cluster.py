@@ -308,20 +308,21 @@ class TestSeedMutation:
 
 
 class TestSIntegers:
-    def test_base_splits_and_older_values_follow(self):
-        # a window holding only 6 has the base {6}; 1 + 1 has the unit part
-        # 2, which shares a factor with 6, so 6 splits into 3 and 2 and the
-        # values made before are re-expressed in the new base
-        base = _SBase([F(6)])
-        six, one = base.lift(F(6)), base.lift(1)
-        assert base.elems == [6] and (six.n, six.exps) == (1, (1,))
-        two = one + one
-        assert sorted(base.elems) == [2, 3] and two.n == 1
-        for v, want in ((six, 6), (two, 2), (six * two, 12), (six / base.lift(9), F(2, 3))):
-            assert F(v) == want and v.n == 1 and len(v._exps()) == 2
-        assert base.lift(F(1, 5)) is None
-        quotient = two / base.lift(5)  # 2/5 is not in Z[1/6]: a remainder
-        assert type(quotient) is F and quotient == F(2, 5)
+    def test_fixed_prime_base(self):
+        # trial division splits 6 into primes; the cofactors 65537 * 65539,
+        # 65537 and 65539 share factors, so none of them joins the base, and
+        # a value that needs one is left a Fraction
+        assert _SBase([F(6)]).elems == [2, 3]
+        big = 65537 * 65539
+        base = _SBase([F(big), F(65537), F(1, 65539), F(3), F(2)])
+        assert base.elems == [2, 3] and base.lift(F(1, 65539)) is None
+        value = base.lift(F(3)) * F(1, 65539)
+        assert type(value) is F and value == F(3, 65539)
+        # a lone cofactor is an element; a sum sharing part of it is a Fraction
+        lone = _SBase([F(big)])
+        assert lone.elems == [big] and lone.lift(F(65537)) is None
+        total = lone.lift(F(1)) + lone.lift(F(65536))
+        assert type(total) is F and total == 65537
 
     def test_run_orbit_keeps_input_types(self):
         # values never replaced keep the type they came in with

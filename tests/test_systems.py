@@ -330,6 +330,8 @@ _ENGINE_RNG = random.Random(97)
 ENGINE_WINDOWS = {
     "large-primes": (F(10007, 65537), F(65537), F(3, 10007), F(2), F(65537, 4)),
     "negative": (F(-2, 3), F(5), F(-1, 4), F(3, -7), F(-9, 2)),
+    "composites": (F(4), F(9), F(12), F(25, 8), F(1, 6)),
+    "shared-cofactor": (F(65537 * 65539), F(65537), F(1, 65539), F(3), F(2)),
     "six": (F(6), F(6), F(6), F(1, 6), F(1)),
     "ten-fifteen": (F(10), F(15), F(1, 15), F(10), F(1, 10)),
     "seeded": tuple(
@@ -444,6 +446,17 @@ class TestPeriodicQuantities:
         tmpl = BUILTIN_TEMPLATES["s81"]
         with pytest.raises(QuiverError):
             verify_periodic({"z": [F(1)] * 5, "y": [F(1)] * 5}, tmpl, 50)
+
+    @pytest.mark.parametrize("horizon, period", [(0, 1), (-5, 1), (4, 0), (4, -2)])
+    def test_vacuous_check_rejected(self, horizon, period):
+        tmpl = parse_template("z(q)/y(q)", claimed_period=period)
+        with pytest.raises(QuiverError, match="must be >= 1"):
+            verify_periodic({"z": [F(1)] * 9, "y": [F(1)] * 9}, tmpl, horizon)
+
+    @pytest.mark.parametrize("text", ["", "z(q)+", "+z(q)", "z(q)/", "z(q)/()", "z(q)*", "2*"])
+    def test_parse_template_rejects_empty_terms(self, text):
+        with pytest.raises(QuiverError, match="empty term"):
+            parse_template(text)
 
     def test_aperiodic_detected(self):
         tmpl = parse_template("z(q)", claimed_period=1)
