@@ -224,9 +224,12 @@ def cmd_tsys_verify_periodic(args) -> int:
             raise CliError(
                 f"unknown builtin template {name!r}; have {sorted(BUILTIN_TEMPLATES)}"
             )
+        if args.period is not None:
+            raise CliError(f"--period applies to expression templates only; {name} has its own")
         tmpl = BUILTIN_TEMPLATES[name]
     else:
-        tmpl = parse_template(args.template, claimed_period=args.period)
+        period = 1 if args.period is None else args.period
+        tmpl = parse_template(args.template, claimed_period=period)
     horizon = args.horizon
     if horizon is None:
         length = min(len(trace.seq["z"]), len(trace.seq["y"]))
@@ -359,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = tsub.add_parser("verify-periodic", help="check a periodic quantity on a trace")
     p.add_argument("--trace", required=True, help="trace-v1 JSON file")
     p.add_argument("--template", required=True, help="builtin:NAME or an expression")
-    p.add_argument("--period", type=int, default=1, help="claimed period for expressions")
+    p.add_argument(
+        "--period", type=int, help="claimed period of an expression template (default 1)"
+    )
     p.add_argument("--horizon", type=int)
     p.set_defaults(func=cmd_tsys_verify_periodic)
 

@@ -11,6 +11,10 @@ to agree exactly.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -717,6 +721,11 @@ def verify_periodic(
     return PeriodicReport(template, horizon, first_failure is None, first_failure, values)
 
 
+# template_search screens candidates modulo this prime; nothing is reported on
+# the screen alone, every hit is re-checked with exact rationals
+_SCREEN_PRIME = 2**61 - 1
+
+
 def template_search(
     trace: OrbitTrace | dict[str, Sequence],
     shift_bound: int,
@@ -730,7 +739,22 @@ def template_search(
     Monomials are products of at most two slot powers (or the constant 1).
     Hits are re-verified on `extension` (a longer, independently generated
     trace) when provided; results are empirical observations, not proofs.
+
+    num/d has period p exactly when num(q+p)*d(q) - num(q)*d(q+p) vanishes,
+    which is linear in num.  So for each denominator d and period p the rows
+    r_i of that residue for every monomial m_i are folded into one key each
+    and hashed once, and (m_i + m_j)/d is a candidate when the keys of r_i
+    and r_j cancel (m_i/d when the key of r_i is 0).  The keys are reduced
+    modulo _SCREEN_PRIME, which can merge values but never separate equal
+    ones, so no template is missed; every candidate is then re-checked with
+    Fractions, from its smallest screened period up.  A trace value whose
+    denominator the prime divides keeps the keys exact instead.
     """
+    if shift_bound < 0 or exp_bound < 1 or max_period < 1:
+        raise QuiverError(
+            "template search needs shift_bound >= 0, exp_bound >= 1 and max_period >= 1, "
+            f"got {shift_bound}, {exp_bound} and {max_period}"
+        )
     seqs = trace.seq if isinstance(trace, OrbitTrace) else trace
     slots = [(s, off) for s in ("z", "y") for off in range(shift_bound + 1)]
     monomials: list[Monomial] = [_mono(1)]
@@ -744,52 +768,88 @@ def template_search(
                     monomials.append(
                         _mono(1, (slot[0], slot[1], e1), (other[0], other[1], e2))
                     )
-    zlen = len(seqs["z"])
-    ylen = len(seqs["y"])
-    usable = min(zlen, ylen) - shift_bound - max_period
+    usable = min(len(seqs["z"]), len(seqs["y"])) - shift_bound - max_period
     if usable < 3:
         raise QuiverError("trace too short for template search")
+    if extension is not None:
+        need = shift_bound + max_period + 2
+        have = min(len(extension["z"]), len(extension["y"]))
+        if have < need:
+            raise QuiverError(
+                f"extension too short for template search: need {need} values "
+                f"of z and y, have {have}"
+            )
 
-    def values_of(mono: Monomial, count: int):
-        coeff, factors = mono
-        return [coeff * _power_product(seqs, factors, q) for q in range(count)]
+    window = {s: seqs[s][: usable + shift_bound] for s in ("z", "y")}
+    prime = _SCREEN_PRIME
+    if any(v.denominator % prime == 0 for vals in window.values() for v in vals):
+        norm, red = operator.pos, window
+    else:
+        norm = prime.__rmod__
+        red = {
+            s: [v.numerator * pow(v.denominator, -1, prime) % prime for v in vals]
+            for s, vals in window.items()
+        }
+    screen = [
+        [
+            norm(c * math.prod(red[s][q + off] ** e for (s, off), e in factors))
+            for q in range(usable)
+        ]
+        for c, factors in monomials
+    ]
+    # the zero test stays exact: a monomial vanishes where one of its slots does
+    nonzero = [
+        all(v != 0 for (s, off), _ in factors for v in window[s][off : off + usable])
+        for _, factors in monomials
+    ]
 
-    mono_vals = [values_of(m, usable) for m in monomials]
+    # the row r_i(q) = m_i(q+p)*d(q) - m_i(q)*d(q+p) of each monomial is folded
+    # into one key sum_q w_q*r_i(q) = sum_k m_i(k)*fold[k] with fixed weights;
+    # the fold is linear, so rows that cancel give keys that cancel, and keys
+    # that cancel by chance fail the exact re-check
+    weights = [pow(3, q + 1, prime) for q in range(usable)]
+    periods: dict[tuple[int, int, int], list[int]] = {}
+    for p in range(1, max_period + 1):
+        for di, dv in enumerate(screen):
+            if not nonzero[di]:
+                continue
+            fold = [0] * usable
+            for q in range(usable - p):
+                fold[q + p] += weights[q] * dv[q]
+                fold[q] -= weights[q] * dv[q + p]
+            fold = list(map(norm, fold))
+            index: dict[int | Fraction, list[int]] = {}
+            for i, v in enumerate(screen):
+                index.setdefault(norm(sum(map(operator.mul, v, fold))), []).append(i)
+            for key, group in index.items():
+                partners = index.get(norm(-key), ())
+                for i in group:
+                    if not key and i != di:
+                        periods.setdefault((i, i, di), []).append(p)
+                    for j in partners[bisect.bisect_right(partners, i) :]:
+                        periods.setdefault((i, j, di), []).append(p)
+
+    @functools.cache
+    def exact(i: int) -> list:
+        c, factors = monomials[i]
+        return [c * _power_product(seqs, factors, q) for q in range(usable)]
+
     found = []
-    n_mono = len(monomials)
-    for ni in range(n_mono):
-        for nj in range(ni, n_mono):
-            if ni == nj:
-                num_vals = mono_vals[ni]
-                num = (monomials[ni],)
-            else:
-                num_vals = [a + b for a, b in zip(mono_vals[ni], mono_vals[nj])]
-                num = (monomials[ni], monomials[nj])
-            for di in range(n_mono):
-                if di == ni and ni == nj:
-                    continue
-                den_vals = mono_vals[di]
-                if any(v == 0 for v in den_vals):
-                    continue
-                vals = [a / b for a, b in zip(num_vals, den_vals)]
-                for period in range(1, max_period + 1):
-                    if all(
-                        vals[q + period] == vals[q] for q in range(usable - period)
-                    ):
-                        tmpl = PeriodicQuantityTemplate(
-                            f"found-p{period}", num, (monomials[di],), period
-                        )
-                        if extension is not None:
-                            ext_h = (
-                                min(len(extension["z"]), len(extension["y"]))
-                                - shift_bound
-                                - period
-                                - 1
-                            )
-                            if not verify_periodic(extension, tmpl, ext_h).ok:
-                                break
-                        found.append(tmpl)
+    for ni, nj, di in sorted(periods):
+        num_vals = exact(ni) if ni == nj else [a + b for a, b in zip(exact(ni), exact(nj))]
+        vals = [a / b for a, b in zip(num_vals, exact(di))]
+        for period in periods[ni, nj, di]:
+            if all(vals[q + period] == vals[q] for q in range(usable - period)):
+                num = (monomials[ni],) if ni == nj else (monomials[ni], monomials[nj])
+                tmpl = PeriodicQuantityTemplate(
+                    f"found-p{period}", num, (monomials[di],), period
+                )
+                if extension is not None:
+                    ext_h = have - shift_bound - period - 1
+                    if not verify_periodic(extension, tmpl, ext_h).ok:
                         break
+                found.append(tmpl)
+                break
     return found
 
 

@@ -1,13 +1,23 @@
 """Independent re-implementations used as test oracles.
 
 These deliberately avoid the library's formula paths: mutation is done by the
-three-step arrow procedure on explicit arrow counts, and the period-2 search
-oracle is a plain loop over all candidate matrices.
+three-step arrow procedure on explicit arrow counts, the period-2 search
+oracle is a plain loop over all candidate matrices, and the template search
+oracle divides out every numerator/denominator pair with Fractions.
 """
 
 from itertools import product
 
-from quiverperiod import ExchangeMatrix, Period2Spec, is_period2
+from quiverperiod import (
+    ExchangeMatrix,
+    OrbitTrace,
+    Period2Spec,
+    PeriodicQuantityTemplate,
+    QuiverError,
+    is_period2,
+    verify_periodic,
+)
+from quiverperiod.systems import _mono, _power_product
 
 
 def arrow_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -76,3 +86,75 @@ def t_iterate_direct(sys, window, steps: int, Z=None):
             seq, off = eq.lhs[0]
             seqs[eq.lhs[1][0]].append(val / seqs[seq][q + off])
     return seqs
+
+
+def template_search_direct(
+    trace,
+    shift_bound: int,
+    exp_bound: int,
+    max_period: int = 4,
+    extension=None,
+) -> list:
+    """systems.template_search as a plain triple loop: every numerator
+    (one monomial or a pair) over every denominator, divided out with
+    Fractions and tested period by period."""
+    seqs = trace.seq if isinstance(trace, OrbitTrace) else trace
+    slots = [(s, off) for s in ("z", "y") for off in range(shift_bound + 1)]
+    monomials = [_mono(1)]
+    for idx, slot in enumerate(slots):
+        for e in range(1, exp_bound + 1):
+            monomials.append(_mono(1, (slot[0], slot[1], e)))
+        for jdx in range(idx + 1, len(slots)):
+            other = slots[jdx]
+            for e1 in range(1, exp_bound + 1):
+                for e2 in range(1, exp_bound + 1):
+                    monomials.append(
+                        _mono(1, (slot[0], slot[1], e1), (other[0], other[1], e2))
+                    )
+    zlen = len(seqs["z"])
+    ylen = len(seqs["y"])
+    usable = min(zlen, ylen) - shift_bound - max_period
+    if usable < 3:
+        raise QuiverError("trace too short for template search")
+
+    def values_of(mono, count: int):
+        coeff, factors = mono
+        return [coeff * _power_product(seqs, factors, q) for q in range(count)]
+
+    mono_vals = [values_of(m, usable) for m in monomials]
+    found = []
+    n_mono = len(monomials)
+    for ni in range(n_mono):
+        for nj in range(ni, n_mono):
+            if ni == nj:
+                num_vals = mono_vals[ni]
+                num = (monomials[ni],)
+            else:
+                num_vals = [a + b for a, b in zip(mono_vals[ni], mono_vals[nj])]
+                num = (monomials[ni], monomials[nj])
+            for di in range(n_mono):
+                if di == ni and ni == nj:
+                    continue
+                den_vals = mono_vals[di]
+                if any(v == 0 for v in den_vals):
+                    continue
+                vals = [a / b for a, b in zip(num_vals, den_vals)]
+                for period in range(1, max_period + 1):
+                    if all(
+                        vals[q + period] == vals[q] for q in range(usable - period)
+                    ):
+                        tmpl = PeriodicQuantityTemplate(
+                            f"found-p{period}", num, (monomials[di],), period
+                        )
+                        if extension is not None:
+                            ext_h = (
+                                min(len(extension["z"]), len(extension["y"]))
+                                - shift_bound
+                                - period
+                                - 1
+                            )
+                            if not verify_periodic(extension, tmpl, ext_h).ok:
+                                break
+                        found.append(tmpl)
+                        break
+    return found

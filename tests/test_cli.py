@@ -333,6 +333,16 @@ def test_vacuous_periodicity_check_exit_2(case, tmp_path, capsys):
     assert err.startswith("error: ") and "must be >= 1" in err
 
 
+def test_period_only_for_expression_templates(tmp_path, capsys):
+    (tmp_path / "trace.json").write_text(_LONG_TRACE)
+    argv = ["tsys", "verify-periodic", "--trace", str(tmp_path / "trace.json")]
+    code, out, err = run_cli(argv + ["--template", "builtin:s81", "--period", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --period applies to expression templates only; s81 has its own\n"
+    code, out, _ = run_cli(argv + ["--template", "z(q)/y(q)"], capsys)
+    assert code == 0 and out == "custom: period 1 over 7 steps: periodic\n"
+
+
 def test_vanishing_template_denominator_exit_1(tmp_path, capsys):
     (tmp_path / "trace.json").write_text(_LONG_TRACE)
     code, out, err = run_cli(

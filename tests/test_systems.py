@@ -29,10 +29,12 @@ from quiverperiod import (
     verify_periodic,
 )
 import quiverperiod.families as fm
+import quiverperiod.systems as systems_mod
 from quiverperiod.formats import _frac_str
+from quiverperiod.reductions import TAME_PARAM
 from quiverperiod.systems import DEFAULT_BIT_BUDGET, lambdas_at, vertex_at
 
-from oracles import somos4_direct, t_iterate_direct
+from oracles import somos4_direct, t_iterate_direct, template_search_direct
 
 
 def tsys(key, **params):
@@ -507,6 +509,71 @@ class TestPeriodicQuantities:
         for h in hits:
             horizon = 50 - h.max_offset() - h.claimed_period
             assert verify_periodic(long_, h, horizon).ok
+
+
+def _tame_trace(tag, steps):
+    """The orbit of the tame member of a dynamics-suite family from a window
+    cycling through 1, 2 and 1/2."""
+    family, pname = fm.section_family(tag)
+    B = family.matrix(**{pname: TAME_PARAM[tag]})
+    x0 = tuple((F(1), F(2), F(1, 2))[i % 3] for i in range(B.n))
+    return run_orbit(Seed(B, x0, (F(1),) * B.n), family.spec, steps, keep_states=False)
+
+
+def _n4_trace(steps):
+    sys, _ = tsys("n4-k2-1", n=1)
+    return iterate_system(sys, {"z": [F(1), F(2), F(1)], "y": [F(3)]}, steps)
+
+
+def _cycled(z, y, count=12):
+    """count values of z and of y, repeating the given cycles."""
+    return {
+        "z": [F(z[q % len(z)]) for q in range(count)],
+        "y": [F(y[q % len(y)]) for q in range(count)],
+    }
+
+
+# case: () -> (trace, shift_bound, exp_bound, max_period, extension)
+SEARCH_CASES = {
+    "s81-tame": lambda: (_tame_trace("s81", 30), 2, 1, 4, None),
+    "s86-tame": lambda: (_tame_trace("s86", 20), 4, 1, 2, None),
+    "n4-extension": lambda: (_n4_trace(5), 1, 1, 2, _n4_trace(40)),
+    "exp-bound-2": lambda: (_n4_trace(7), 1, 2, 3, None),
+    # z is 0 at odd q, so every denominator with a z factor is skipped; y takes
+    # the value 2**61 - 1, which is 0 modulo the screen prime but not a zero
+    "zero-value": lambda: (_cycled([2, 0], [1, 3, 2**61 - 1]), 1, 1, 4, None),
+    # the prime divides a denominator, so the keys stay exact Fractions
+    "inverse-prime": lambda: (_cycled([F(1, 2**61 - 1), 2, 5], [3, 1]), 1, 1, 4, None),
+}
+
+
+def _search_key(found):
+    return [(t.name, t.num, t.den, t.claimed_period) for t in found]
+
+
+class TestTemplateSearch:
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_matches_direct_oracle(self, case):
+        args = SEARCH_CASES[case]()
+        found = template_search(*args)
+        assert found and _search_key(found) == _search_key(template_search_direct(*args))
+
+    def test_small_screen_prime_keeps_exact_hits(self, monkeypatch):
+        # modulo 5 many keys cancel by chance; the exact re-check drops those
+        trace = _tame_trace("s81", 30)
+        assert all(v.denominator % 5 for s in "zy" for v in trace.seq[s])
+        monkeypatch.setattr(systems_mod, "_SCREEN_PRIME", 5)
+        found = template_search(trace, 2, 1)
+        assert _search_key(found) == _search_key(template_search_direct(trace, 2, 1))
+
+    @pytest.mark.parametrize("bounds", [(-1, 1, 4), (2, 0, 4), (2, 1, 0)])
+    def test_vacuous_search_rejected(self, bounds):
+        with pytest.raises(QuiverError, match="template search needs"):
+            template_search(_n4_trace(14), *bounds)
+
+    def test_short_extension_rejected_up_front(self):
+        with pytest.raises(QuiverError, match="extension too short.*need 8 values"):
+            template_search(_n4_trace(14), 2, 1, extension=_n4_trace(2))
 
 
 class TestTZ:
