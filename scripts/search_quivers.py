@@ -5,7 +5,7 @@ import argparse
 import sys
 import time
 
-from quiverperiod import ONE_CYCLE, TWO_CYCLE, Period2Spec, SearchJob, search
+from quiverperiod import ONE_CYCLE, TWO_CYCLE, Period2Spec, QuiverError, SearchJob, search
 from quiverperiod.formats import quiver_to_json
 
 
@@ -23,21 +23,29 @@ def main() -> int:
     parser.add_argument("--out", default="-", help="output path ('-' = stdout)")
     args = parser.parse_args()
 
+    try:
+        jobs = [
+            SearchJob(spec, args.bound, connected_only=True, jobs=args.jobs)
+            for n in range(3, args.max_n + 1)
+            for spec in specs_for(n)
+        ]
+    except QuiverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = sys.stdout if args.out == "-" else open(args.out, "w")
     total = 0
-    for n in range(3, args.max_n + 1):
-        for spec in specs_for(n):
-            t0 = time.monotonic()
-            job = SearchJob(spec, args.bound, connected_only=True, jobs=args.jobs)
-            hits = list(search(job))
-            total += len(hits)
-            print(
-                f"n={spec.n} {spec.shape} k={spec.k}: {len(hits)} connected "
-                f"solutions ({time.monotonic() - t0:.1f}s)",
-                file=sys.stderr,
-            )
-            for B in hits:
-                out.write(quiver_to_json(B) + "\n")
+    for job in jobs:
+        spec = job.spec
+        t0 = time.monotonic()
+        hits = list(search(job))
+        total += len(hits)
+        print(
+            f"n={spec.n} {spec.shape} k={spec.k}: {len(hits)} connected "
+            f"solutions ({time.monotonic() - t0:.1f}s)",
+            file=sys.stderr,
+        )
+        for B in hits:
+            out.write(quiver_to_json(B) + "\n")
     print(f"total: {total}", file=sys.stderr)
     if out is not sys.stdout:
         out.close()

@@ -105,10 +105,13 @@ def cmd_mutate(args) -> int:
         if not 1 <= v <= B.n:
             raise CliError(f"vertex {v} out of range 1..{B.n}")
         B = mutate(B, v)
-    print(formats.quiver_to_json(B))
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(formats.quiver_to_dot(B) + "\n")
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(formats.quiver_to_dot(B) + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.dot!r}: {exc}")
+    print(formats.quiver_to_json(B))
     return EXIT_OK
 
 

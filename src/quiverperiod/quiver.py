@@ -6,6 +6,7 @@ b[i][j] arrows from i to j.  All values are immutable and all operations are pur
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,11 +45,16 @@ class Permutation:
         return Permutation(self.n, tuple(self(other(i)) for i in range(1, self.n + 1)))
 
     def __pow__(self, exp: int) -> "Permutation":
-        base = self if exp >= 0 else self.inverse()
-        result = Permutation.identity(self.n)
-        for _ in range(abs(exp)):
-            result = base.compose(result)
-        return result
+        """Each image walks its cycle exp steps (mod the cycle length): O(n) for any exp."""
+        image = [0] * self.n
+        for start in range(1, self.n + 1):
+            if not image[start - 1]:
+                cycle = [start]
+                while (i := self(cycle[-1])) != start:
+                    cycle.append(i)
+                for pos, i in enumerate(cycle):
+                    image[i - 1] = cycle[(pos + exp) % len(cycle)]
+        return Permutation(self.n, tuple(image))
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -147,6 +153,9 @@ class Period2Spec:
         if not 2 <= self.k <= self.n:
             raise QuiverError(f"k={self.k} out of range for n={self.n}")
 
+    # a spec is immutable and hashable, so sigma, nu and each nu-orbit are
+    # built once per spec (equal specs share one cache entry)
+    @functools.cache
     def sigma(self) -> Permutation:
         if self.shape == ONE_CYCLE:
             return Permutation.rotation(self.n)
@@ -154,9 +163,19 @@ class Period2Spec:
             self.n, [list(range(1, self.k)), list(range(self.k, self.n + 1))]
         )
 
+    @functools.cache
     def nu(self) -> Permutation:
         """The inverse of sigma; drives the mutation-point bookkeeping."""
         return self.sigma().inverse()
+
+    @functools.cache
+    def nu_orbit(self, base: int) -> tuple[int, ...]:
+        """(base, nu(base), nu^2(base), ...) up to the return to base."""
+        nu = self.nu()
+        orbit = [base]
+        while (i := nu(orbit[-1])) != base:
+            orbit.append(i)
+        return tuple(orbit)
 
     def in_canonical_range(self) -> bool:
         if self.shape == ONE_CYCLE:

@@ -11,14 +11,15 @@ vertex-1 mutation with the vertex-k mutation of the relabeled quiver:
 
 with s = sigma and eps(a, c, d) = (|b[a][c]| b[c][d] + b[a][c] |b[c][d]|) / 2.
 The solver runs a depth-first enumeration that checks each equation as soon as
-its support is assigned and solves for entries that occur linearly, which keeps
-the 6-vertex bound-2 job (5^15 raw candidates) tractable.
+its support is assigned; once a single pair of an equation is unassigned, it
+solves for it when the pair occurs linearly and otherwise keeps only the values
+within the bound that satisfy the equation.  That keeps the 6-vertex bound-2
+job (5^15 raw candidates) tractable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .quiver import ExchangeMatrix, Period2Spec, QuiverError, is_connected, mu1_partner
@@ -37,278 +38,253 @@ class SearchJob:
     def __post_init__(self):
         if self.bound < 1:
             raise QuiverError("bound must be >= 1")
+        if self.jobs < 1:
+            raise QuiverError("jobs must be >= 1")
 
 
-def _norm(i: int, j: int) -> Pair:
-    return (i, j) if i < j else (j, i)
+def _pairs(n: int) -> list[Pair]:
+    """The unknowns (i, j), i < j, in the order that indexes them everywhere."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Equation:
-    """One residual equation, in a form evaluable from a pair -> value map."""
+    """One residual equation over pair indices (positions in _pairs(n)).
+
+    LHS - RHS = sum(c * v[t] for t, c in terms)
+              + sum(s * eps(sa * v[ta], sc * v[tc]) for s, ta, sa, tc, sc in eps)
+    with eps(a, c) = (|a| c + a |c|) / 2.  Compared by identity: the solver
+    keeps its state in lists indexed by equation, never in sets of equations.
+    """
 
     pair: Pair
     case: int
-    # b-references: (pair, sign) meaning sign * value(pair)
-    lhs_b: tuple[Pair, int]
-    rhs_b: tuple[Pair, int]
-    lhs_sign: int  # -1 in case 1 (the LHS is -b[i][j]) else +1
-    rhs_sign: int  # -1 in case 2 else +1
-    lhs_eps: tuple[tuple[Pair, int], tuple[Pair, int]] | None  # eps(i,1,j)
-    rhs_eps: tuple[tuple[Pair, int], tuple[Pair, int]] | None  # eps(si,sk,sj)
-    support: frozenset[Pair] = field(hash=False, default=frozenset())
-    linear: frozenset[Pair] = field(hash=False, default=frozenset())
-
-
-def _bref(i: int, j: int) -> tuple[Pair, int] | None:
-    if i == j:
-        return None
-    return (_norm(i, j), 1 if i < j else -1)
+    terms: tuple[tuple[int, int], ...]
+    eps: tuple[tuple[int, int, int, int, int], ...]
+    support: tuple[int, ...]
+    linear: frozenset[int]  # support pairs that occur only in terms
 
 
 def _equations(spec: Period2Spec) -> list[_Equation]:
     n, k = spec.n, spec.k
     sigma = spec.sigma()
+    pairs = _pairs(n)
+    index = {p: t for t, p in enumerate(pairs)}
+
+    def ref(i: int, j: int) -> tuple[int, int] | None:
+        """(t, sign) with b[i][j] = sign * v[t]; None on the diagonal."""
+        if i == j:
+            return None
+        return (index[i, j], 1) if i < j else (index[j, i], -1)
+
     eqs = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            si, sj, sk = sigma(i), sigma(j), sigma(k)
-            has1 = 1 in (i, j)
-            hask = k in (i, j)
-            if has1 and not hask:
-                case = 1
-            elif hask and not has1:
-                case = 2
-            else:
-                case = 3
-            lhs_eps = rhs_eps = None
-            if case in (2, 3):
-                a = _bref(i, 1)
-                c = _bref(1, j)
-                if a is not None and c is not None:
-                    lhs_eps = (a, c)
-            if case in (1, 3):
-                a = _bref(si, sk)
-                c = _bref(sk, sj)
-                if a is not None and c is not None:
-                    rhs_eps = (a, c)
-            lhs_b = _bref(i, j)
-            rhs_b = _bref(si, sj)
-            support = {lhs_b[0], rhs_b[0]}
-            eps_pairs = set()
-            for eps in (lhs_eps, rhs_eps):
-                if eps is not None:
-                    eps_pairs.update(p for p, _ in eps)
-            support |= eps_pairs
-            linear = {lhs_b[0], rhs_b[0]} - eps_pairs
-            eqs.append(
-                _Equation(
-                    pair=(i, j),
-                    case=case,
-                    lhs_b=lhs_b,
-                    rhs_b=rhs_b,
-                    lhs_sign=-1 if case == 1 else 1,
-                    rhs_sign=-1 if case == 2 else 1,
-                    lhs_eps=lhs_eps,
-                    rhs_eps=rhs_eps,
-                    support=frozenset(support),
-                    linear=frozenset(linear),
-                )
-            )
+    for i, j in pairs:
+        si, sj, sk = sigma(i), sigma(j), sigma(k)
+        has1, hask = 1 in (i, j), k in (i, j)
+        case = 1 if has1 and not hask else 2 if hask and not has1 else 3
+        lhs_sign = -1 if case == 1 else 1  # the LHS is -b[i][j] in case 1
+        rhs_sign = -1 if case == 2 else 1
+        (lt, ls), (rt, rs) = ref(i, j), ref(si, sj)
+        terms = ((lt, lhs_sign * ls), (rt, -rhs_sign * rs))
+        eps = []
+        for side, wanted, a, c in (
+            (1, case in (2, 3), ref(i, 1), ref(1, j)),  # eps(i, 1, j)
+            (-1, case in (1, 3), ref(si, sk), ref(sk, sj)),  # eps(si, sk, sj)
+        ):
+            if wanted and a is not None and c is not None:
+                eps.append((side, *a, *c))
+        eps_pairs = {t for e in eps for t in (e[1], e[3])}
+        support = tuple(sorted({lt, rt} | eps_pairs))
+        linear = frozenset({lt, rt} - eps_pairs)
+        eqs.append(_Equation((i, j), case, terms, tuple(eps), support, linear))
     return eqs
 
 
-def _eval_eq(eq: _Equation, val: dict[Pair, int]) -> int:
+def _eval_eq(eq: _Equation, val: Sequence[int]) -> int:
     """Residual value LHS - RHS; all support pairs must be assigned."""
-
-    def b(ref):
-        pair, sign = ref
-        return sign * val[pair]
-
-    def eps(refs):
-        if refs is None:
-            return 0
-        a = b(refs[0])
-        c = b(refs[1])
-        return (abs(a) * c + a * abs(c)) // 2
-
-    lhs = eq.lhs_sign * b(eq.lhs_b) + eps(eq.lhs_eps)
-    rhs = eq.rhs_sign * b(eq.rhs_b) + eps(eq.rhs_eps)
-    return lhs - rhs
+    r = 0
+    for t, c in eq.terms:
+        r += c * val[t]
+    for side, ta, sa, tc, sc in eq.eps:
+        a, c = sa * val[ta], sc * val[tc]
+        r += side * ((abs(a) * c + a * abs(c)) // 2)
+    return r
 
 
 def residual(B: ExchangeMatrix, spec: Period2Spec) -> list[int]:
     """LHS - RHS of the defining equation for each pair {i,j}, i<j, in order."""
-    if B.n != spec.n:
-        raise QuiverError(f"degree mismatch: matrix {B.n}, spec {spec.n}")
-    val = {
-        (i, j): B.b(i, j) for i in range(1, B.n + 1) for j in range(i + 1, B.n + 1)
-    }
-    return [_eval_eq(eq, val) for eq in _equations(spec)]
+    return [v for _, _, v in residual_report(B, spec)]
 
 
 def residual_report(
     B: ExchangeMatrix, spec: Period2Spec
 ) -> list[tuple[Pair, int, int]]:
     """(pair, case label, residual value) per equation, same order as residual()."""
-    val = {
-        (i, j): B.b(i, j) for i in range(1, B.n + 1) for j in range(i + 1, B.n + 1)
-    }
+    if B.n != spec.n:
+        raise QuiverError(f"degree mismatch: matrix {B.n}, spec {spec.n}")
+    val = [B.b(i, j) for i, j in _pairs(B.n)]
     return [(eq.pair, eq.case, _eval_eq(eq, val)) for eq in _equations(spec)]
 
 
 class _Solver:
-    def __init__(self, spec: Period2Spec, bound: int):
-        self.spec = spec
-        self.bound = bound
-        self.pairs = [
-            (i, j)
-            for i in range(1, spec.n + 1)
-            for j in range(i + 1, spec.n + 1)
-        ]
+    """Depth-first enumeration with propagation, over pair indices.
+
+    val[t] is the value of pair t or None; free[e] counts the unassigned
+    support pairs of equation e, so an assignment revisits only the equations
+    it touches; done[e] marks an equation that holds whatever is still free.
+    """
+
+    def __init__(self, spec: Period2Spec, bound: int, prefix: dict[int, int] | None = None):
+        self.domain = range(-bound, bound + 1)
+        m = spec.n * (spec.n - 1) // 2
         self.equations = _equations(spec)
-        self.eqs_of_pair: dict[Pair, list[_Equation]] = {p: [] for p in self.pairs}
-        for eq in self.equations:
-            for p in eq.support:
-                self.eqs_of_pair[p].append(eq)
+        self.eqs_of_pair: list[list[int]] = [[] for _ in range(m)]
+        for e, eq in enumerate(self.equations):
+            for t in eq.support:
+                self.eqs_of_pair[t].append(e)
+        self.val: list[int | None] = [None] * m
+        for t, v in (prefix or {}).items():
+            self.val[t] = v
+        self.free = [sum(self.val[t] is None for t in eq.support) for eq in self.equations]
+        self.done = [False] * len(self.equations)
 
-    def solutions(self, prefix: dict[Pair, int] | None = None) -> Iterator[dict[Pair, int]]:
-        val: dict[Pair, int] = dict(prefix or {})
-        if any(abs(v) > self.bound for v in val.values()):
-            return
-        done: set[_Equation] = set()
-        yield from self._dfs(val, done)
+    def solutions(self) -> Iterator[tuple[int, ...]]:
+        """Each solution as its tuple of pair values."""
+        return self._dfs([e for e, f in enumerate(self.free) if f <= 1])
 
-    def _propagate(self, val, done) -> tuple[list[Pair], list[_Equation], bool]:
-        """Assign forced values; returns (new pairs, newly done eqs, consistent)."""
-        new_pairs: list[Pair] = []
-        new_done: list[_Equation] = []
-        progress = True
-        while progress:
-            progress = False
-            for eq in self.equations:
-                if eq in done:
-                    continue
-                unassigned = [p for p in eq.support if p not in val]
-                if not unassigned:
-                    if _eval_eq(eq, val) != 0:
-                        return new_pairs, new_done, False
-                    done.add(eq)
-                    new_done.append(eq)
-                    progress = True
-                elif len(unassigned) == 1 and unassigned[0] in eq.linear:
-                    p = unassigned[0]
-                    # the equation is affine in a linear-position pair
-                    val[p] = 0
-                    f0 = _eval_eq(eq, val)
-                    val[p] = 1
-                    slope = _eval_eq(eq, val) - f0
-                    del val[p]
-                    if slope == 0:
-                        if f0 != 0:
-                            return new_pairs, new_done, False
-                        done.add(eq)
-                        new_done.append(eq)
-                        progress = True
-                        continue
-                    if f0 % slope != 0:
-                        return new_pairs, new_done, False
-                    t = -f0 // slope
-                    if abs(t) > self.bound:
-                        return new_pairs, new_done, False
-                    val[p] = t
-                    new_pairs.append(p)
-                    done.add(eq)
-                    new_done.append(eq)
-                    progress = True
-        return new_pairs, new_done, True
+    def _assign(self, t: int, v: int, queue: list[int]) -> None:
+        """Set pair t and queue the equations left with at most one free pair."""
+        self.val[t] = v
+        free = self.free
+        for e in self.eqs_of_pair[t]:
+            free[e] -= 1
+            if free[e] <= 1:
+                queue.append(e)
 
-    def _pick(self, val) -> Pair:
-        # only called with a pair unassigned, and every pair is in the
-        # support of its own equation, so some equation has a candidate
-        best = None
-        best_count = None
-        for eq in self.equations:
-            unassigned = [p for p in eq.support if p not in val]
-            if not unassigned:
+    def _unassign(self, t: int) -> None:
+        self.val[t] = None
+        for e in self.eqs_of_pair[t]:
+            self.free[e] += 1
+
+    def _fits(self, eq: _Equation, t: int) -> list[int]:
+        """The values in the domain of t, the one free pair of eq, that solve eq."""
+        val = self.val
+        if t in eq.linear:
+            # eq is affine in t: f0 + slope * t
+            slope = sum(c for s, c in eq.terms if s == t)
+            val[t] = 0
+            f0 = _eval_eq(eq, val)
+            if slope == 0:
+                fits = list(self.domain) if f0 == 0 else []
+            else:
+                fits = [x for x in (-f0 // slope,) if f0 % slope == 0 and x in self.domain]
+        else:
+            fits = []
+            for x in self.domain:
+                val[t] = x
+                if _eval_eq(eq, val) == 0:
+                    fits.append(x)
+        val[t] = None
+        return fits
+
+    def _propagate(self, queue: list[int]) -> tuple[list[int], list[int], bool]:
+        """Check the queued equations, assign each pair that one of them
+        forces, and check what that touches in turn; returns (pairs assigned,
+        equations done, consistent)."""
+        val, free, done = self.val, self.free, self.done
+        assigned: list[int] = []
+        closed: list[int] = []
+        while queue:
+            e = queue.pop()
+            if done[e]:
                 continue
-            if best_count is None or len(unassigned) < best_count:
-                best_count = len(unassigned)
-                best = min(unassigned)
-        return best
+            eq = self.equations[e]
+            if free[e] == 1:
+                t = next(t for t in eq.support if val[t] is None)
+                fits = self._fits(eq, t)
+                if not fits:
+                    return assigned, closed, False
+                if len(fits) == 1:
+                    self._assign(t, fits[0], queue)
+                    assigned.append(t)
+                elif len(fits) < len(self.domain):
+                    continue
+            elif _eval_eq(eq, val) != 0:
+                return assigned, closed, False
+            done[e] = True
+            closed.append(e)
+        return assigned, closed, True
 
-    def _dfs(self, val, done) -> Iterator[dict[Pair, int]]:
-        new_pairs, new_done, ok = self._propagate(val, done)
+    def _pick(self) -> int:
+        # only called with a pair unassigned, and every pair is in the
+        # support of its own equation, so some equation has a candidate:
+        # the first equation with the fewest free pairs gives its lowest one
+        _, e = min((f, e) for e, f in enumerate(self.free) if f)
+        return next(t for t in self.equations[e].support if self.val[t] is None)
+
+    def _dfs(self, queue: list[int]) -> Iterator[tuple[int, ...]]:
+        assigned, closed, ok = self._propagate(queue)
         try:
             if ok:
-                if len(val) == len(self.pairs):
-                    if all(eq in done or _eval_eq(eq, val) == 0 for eq in self.equations):
-                        yield dict(val)
+                if None not in self.val:
+                    if all(
+                        d or _eval_eq(eq, self.val) == 0
+                        for d, eq in zip(self.done, self.equations)
+                    ):
+                        yield tuple(self.val)
                 else:
-                    p = self._pick(val)
-                    for t in range(-self.bound, self.bound + 1):
-                        val[p] = t
-                        yield from self._dfs(val, done)
-                    del val[p]
+                    t = self._pick()
+                    for v in self.domain:
+                        queue = []
+                        self._assign(t, v, queue)
+                        yield from self._dfs(queue)
+                        self._unassign(t)
         finally:
-            for p in new_pairs:
-                del val[p]
-            for eq in new_done:
-                done.discard(eq)
-
-
-def _matrix_of(spec: Period2Spec, val: dict[Pair, int]) -> ExchangeMatrix:
-    return ExchangeMatrix.from_entries(spec.n, val)
+            for t in assigned:
+                self._unassign(t)
+            for e in closed:
+                self.done[e] = False
 
 
 def _solve_prefix(args) -> list[tuple[int, ...]]:
     spec, bound, prefix = args
-    solver = _Solver(spec, bound)
-    return [_matrix_of(spec, v).flatten() for v in solver.solutions(prefix)]
+    return list(_Solver(spec, bound, prefix).solutions())
 
 
 def search(job: SearchJob) -> Iterator[ExchangeMatrix]:
     """All matrices with |b[i][j]| <= bound solving the period-2 equation.
 
     Results are yielded in lexicographic order of the flattened matrix; the
-    order (and the result set) does not depend on the worker count.
+    order (and the result set) does not depend on the worker count.  The
+    enumeration never reaches one assignment twice, and the parallel tasks
+    split it by the value of its first branching pair.
     """
     spec, bound = job.spec, job.bound
-    solver = _Solver(spec, bound)
-    flats: set[tuple[int, ...]] = set()
     if job.jobs > 1:
         import multiprocessing as mp
 
-        first = solver._pick({})
-        tasks = [
-            (spec, bound, {first: t}) for t in range(-bound, bound + 1)
-        ]
+        first = _Solver(spec, bound)._pick()
+        tasks = [(spec, bound, {first: t}) for t in range(-bound, bound + 1)]
         with mp.Pool(job.jobs) as pool:
-            for chunk in pool.imap_unordered(_solve_prefix, tasks):
-                flats.update(chunk)
+            found = [v for chunk in pool.imap_unordered(_solve_prefix, tasks) for v in chunk]
     else:
-        for v in solver.solutions():
-            flats.add(_matrix_of(spec, v).flatten())
-    n = spec.n
-    results = []
-    for flat in sorted(flats):
-        B = ExchangeMatrix.from_rows(
-            [flat[i * n : (i + 1) * n] for i in range(n)]
-        )
-        if job.connected_only and not is_connected(B):
-            continue
-        results.append(B)
+        found = _solve_prefix((spec, bound, None))
+    # value tuples sort as the flattened matrices do: the first entry where
+    # two flattened matrices differ is always above the diagonal, since each
+    # entry below it negates one above it that comes earlier
+    pairs = _pairs(spec.n)
+    results = (ExchangeMatrix.from_entries(spec.n, dict(zip(pairs, v))) for v in sorted(found))
+    if job.connected_only:
+        results = filter(is_connected, results)
     if job.canonicalize:
-        kept = []
-        result_set = {B.flatten() for B in results}
-        for B in results:
+        results = list(results)
+        flats = {B.flatten() for B in results}
+
+        def kept(B: ExchangeMatrix) -> bool:
+            # of a solution and its mu_1-companion for the same spec, keep the lex-smaller
             partner, pspec = mu1_partner(B, spec)
-            if (
-                pspec == spec
-                and partner.flatten() in result_set
-                and partner.flatten() < B.flatten()
-            ):
-                continue
-            kept.append(B)
-        results = kept
+            p = partner.flatten()
+            return not (pspec == spec and p in flats and p < B.flatten())
+
+        results = filter(kept, results)
     yield from results

@@ -54,9 +54,8 @@ class MutationPointTable:
 def vertex_at(spec: Period2Spec, u: int) -> int:
     """The vertex mutated at time u: nu^r(1) for u = 2r, nu^r(k) for u = 2r+1."""
     r, l = divmod(u, 2)
-    nu = spec.nu()
-    base = 1 if l == 0 else spec.k
-    return (nu ** r)(base)
+    orbit = spec.nu_orbit(1 if l == 0 else spec.k)
+    return orbit[r % len(orbit)]
 
 
 def lambdas_at(spec: Period2Spec, i: int, u: int) -> tuple[int, int]:
@@ -362,16 +361,13 @@ def required_window(sys: SystemSpec) -> dict[str, int]:
 
 def initial_window_from_seed(sys: SystemSpec, x0: Sequence) -> dict[str, list]:
     """The window whose iteration matches run_orbit from cluster values x0:
-    z(q) = x0 at nu^q(1), y(q) = x0 at nu^q(k)."""
-    spec = sys.spec
-    nu = spec.nu()
+    z(q) = x0 at nu^q(1), y(q) = x0 at nu^q(k), the vertices mutated at
+    times 2q and 2q+1."""
     need = required_window(sys)
-    window = {"z": [], "y": []}
-    for q in range(need.get("z", 0)):
-        window["z"].append(Fraction(x0[(nu ** q)(1) - 1]))
-    for q in range(need.get("y", 0)):
-        window["y"].append(Fraction(x0[(nu ** q)(spec.k) - 1]))
-    return window
+    return {
+        seq: [Fraction(x0[vertex_at(sys.spec, 2 * q + l) - 1]) for q in range(need.get(seq, 0))]
+        for l, seq in enumerate(("z", "y"))
+    }
 
 
 def _check_slots(sys: SystemSpec, need: dict[str, int]) -> None:

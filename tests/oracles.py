@@ -13,6 +13,7 @@ from quiverperiod import (
     OrbitTrace,
     Period2Spec,
     PeriodicQuantityTemplate,
+    Permutation,
     QuiverError,
     is_period2,
     verify_periodic,
@@ -53,6 +54,30 @@ def all_matrices(n: int, bound: int):
 def brute_period2(spec: Period2Spec, bound: int) -> set[ExchangeMatrix]:
     """Direct loop calling is_period2 on every bounded candidate."""
     return {B for B in all_matrices(spec.n, bound) if is_period2(B, spec)}
+
+
+def permutation_power_direct(s: Permutation, exp: int) -> Permutation:
+    """s ** exp as |exp| repeated compositions, through inverse() when exp < 0."""
+    base = s if exp >= 0 else s.inverse()
+    result = Permutation.identity(s.n)
+    for _ in range(abs(exp)):
+        result = base.compose(result)
+    return result
+
+
+def residual_direct(B: ExchangeMatrix, spec: Period2Spec) -> list[int]:
+    """The defining equation's residual per pair i<j from two arrow-count
+    mutations: mu_1(B) minus mu_k of B relabeled to entries b[s(i)][s(j)].
+    The pair {1,k} is written with both sides negated (b[1][k] = b[s1][sk])."""
+    n, k, s = spec.n, spec.k, spec.sigma()
+    relabeled = ExchangeMatrix.from_rows(
+        [[B.b(s(i), s(j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    )
+    left, right = arrow_mutate(B, 1), arrow_mutate(relabeled, k)
+    return [
+        (-1 if (i, j) == (1, k) else 1) * (left.b(i, j) - right.b(i, j))
+        for i, j in upper_pairs(n)
+    ]
 
 
 def somos4_direct(C, exponent: int, initial, steps: int):

@@ -65,6 +65,15 @@ class TestMutateCommand:
         text = dot.read_text()
         assert text.startswith("digraph") and '1 -> 2 [label="2"]' in text
 
+    def test_unwritable_dot_exit_2_before_any_output(self, markov_file, tmp_path, capsys):
+        dot = tmp_path / "missing" / "out.dot"
+        code, out, err = run_cli(
+            ["mutate", "--quiver", markov_file, "--at", "1", "--dot", str(dot)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+
 
 class TestCheckCommand:
     def test_family_instance_two_cycle(self, tmp_path, capsys):
@@ -137,6 +146,22 @@ class TestSearchCommand:
         )
         assert base[0] == par[0] == 0
         assert base[1] == par[1]
+
+    @pytest.mark.parametrize("jobs", ["-1", "-5"])
+    def test_negative_jobs_exit_2(self, jobs, capsys):
+        code, out, err = run_cli(
+            ["search", "--n", "3", "--shape", "1cycle", "--k", "2", "--bound", "1",
+             "--jobs", jobs],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: jobs must be >= 1\n"
+
+    def test_jobs_zero_means_default(self, monkeypatch, capsys):
+        monkeypatch.delenv("QUIVERPERIOD_JOBS", raising=False)
+        args = ["search", "--n", "3", "--shape", "1cycle", "--k", "2", "--bound", "1"]
+        assert run_cli(args + ["--jobs", "0"], capsys) == run_cli(args, capsys)
 
 
 class TestTsysCommands:
@@ -425,6 +450,20 @@ def test_script_help(script):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_search_script_rejects_jobs_zero(tmp_path):
+    out = tmp_path / "hits.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "search_quivers.py"),
+         "--max-n", "3", "--bound", "1", "--jobs", "0", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: jobs must be >= 1\n"
+    assert not out.exists()
 
 
 def test_console_script_installed():

@@ -22,7 +22,7 @@ from quiverperiod import (
     permute,
 )
 
-from oracles import arrow_mutate
+from oracles import arrow_mutate, permutation_power_direct
 
 MARKOV = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 
@@ -134,6 +134,19 @@ class TestPermute:
     def test_degree_mismatch(self):
         with pytest.raises(QuiverError):
             permute(MARKOV, Permutation.identity(4))
+
+
+class TestPermutationPower:
+    def test_matches_repeated_composition(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            s = Permutation(n, tuple(rng.sample(range(1, n + 1), n)))
+            identity = Permutation.identity(n)
+            order = next(m for m in range(1, 1000) if permutation_power_direct(s, m) == identity)
+            exps = set(range(-3 * n, 3 * n + 1)) | {0, order, -order, 2 * order, -3 * order}
+            for exp in sorted(exps):
+                assert s ** exp == permutation_power_direct(s, exp), (s, exp)
 
 
 class TestPeriod2Predicate:

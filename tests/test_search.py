@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quiverperiod import (
@@ -15,7 +17,7 @@ from quiverperiod import (
     search,
 )
 
-from oracles import all_matrices, brute_period2
+from oracles import all_matrices, brute_period2, residual_direct, upper_pairs
 
 MARKOV = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 SPEC32 = Period2Spec(3, ONE_CYCLE, 2)
@@ -47,6 +49,9 @@ class TestSearch:
     def test_bound_validation(self):
         with pytest.raises(QuiverError):
             SearchJob(SPEC32, 0)
+        for jobs in (0, -5):
+            with pytest.raises(QuiverError, match="jobs must be >= 1"):
+                SearchJob(SPEC32, 1, jobs=jobs)
 
     @pytest.mark.parametrize(
         "spec",
@@ -117,3 +122,38 @@ class TestSearch:
                 )
             else:
                 assert B.flatten() in canon_set
+
+
+def _case(pair, k):
+    """The case label of a pair, read off the module docstring's rule."""
+    has1, hask = 1 in pair, k in pair
+    return 1 if has1 and not hask else 2 if hask and not has1 else 3
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_solver_matches_bruteforce_every_canonical_spec(n):
+    """The solver keeps its per-equation state in lists, and equations
+    compare by identity; nothing may depend on equations comparing equal.
+    Every canonical spec at bound 1, against is_period2 over all candidates
+    (brute_period2's loop, sharing one candidate list) and the arrow-count
+    residual."""
+    candidates = list(all_matrices(n, 1))
+    specs = [
+        Period2Spec(n, shape, k)
+        for shape in (ONE_CYCLE, TWO_CYCLE)
+        for k in range(2, n + 1)
+        if Period2Spec(n, shape, k).in_canonical_range()
+    ]
+    for spec in specs:
+        brute = sorted(
+            (B for B in candidates if is_period2(B, spec)), key=ExchangeMatrix.flatten
+        )
+        for jobs in (1, 2):
+            assert list(search(SearchJob(spec, 1, jobs=jobs))) == brute, (spec, jobs)
+        sample = brute + random.Random(f"{spec}").sample(candidates, min(200, len(candidates)))
+        for B in sample:
+            want = residual_direct(B, spec)
+            assert residual(B, spec) == want, (spec, B)
+            assert residual_report(B, spec) == [
+                (pair, _case(pair, spec.k), v) for pair, v in zip(upper_pairs(n), want)
+            ]

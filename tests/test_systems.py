@@ -34,7 +34,12 @@ from quiverperiod.formats import _frac_str
 from quiverperiod.reductions import TAME_PARAM
 from quiverperiod.systems import DEFAULT_BIT_BUDGET, lambdas_at, vertex_at
 
-from oracles import somos4_direct, t_iterate_direct, template_search_direct
+from oracles import (
+    permutation_power_direct,
+    somos4_direct,
+    t_iterate_direct,
+    template_search_direct,
+)
 
 
 def tsys(key, **params):
@@ -72,6 +77,19 @@ class TestForwardPoints:
     def test_mutation_vertices_follow_inverse_relabeling(self):
         spec = Period2Spec(5, ONE_CYCLE, 2)
         assert [vertex_at(spec, u) for u in range(6)] == [1, 2, 5, 1, 4, 5]
+
+    def test_vertex_at_matches_powers_of_nu(self):
+        # every spec with n <= 8, negative times included (tabulate_system
+        # reads back to u - 4n)
+        for n in range(2, 9):
+            for shape in (ONE_CYCLE, TWO_CYCLE):
+                for k in range(2, n + 1):
+                    spec = Period2Spec(n, shape, k)
+                    nu = spec.sigma().inverse()
+                    for u in range(-8 * n, 8 * n + 1):
+                        r, l = divmod(u, 2)
+                        want = permutation_power_direct(nu, r)(1 if l == 0 else k)
+                        assert vertex_at(spec, u) == want, (spec, u)
 
 
 class TestExponents:
