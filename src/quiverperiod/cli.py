@@ -88,9 +88,12 @@ def _default_jobs() -> int:
     env = os.environ.get("QUIVERPERIOD_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
             raise CliError(f"QUIVERPERIOD_JOBS={env!r} is not an integer")
+        if jobs < 1:
+            raise CliError(f"QUIVERPERIOD_JOBS must be >= 1, got {jobs}")
+        return jobs
     return 1
 
 
@@ -290,8 +293,11 @@ def cmd_orbit(args) -> int:
     except (QuiverError, ZeroDivisionError) as exc:
         raise CliError(str(exc), code=EXIT_VERIFY)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            formats.trace_to_csv(trace, fh)
+        try:
+            with open(args.csv, "w") as fh:
+                formats.trace_to_csv(trace, fh)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.csv!r}: {exc}")
     print(formats.trace_to_json(trace))
     return EXIT_OK
 

@@ -24,6 +24,7 @@ from .quiver import (
     Permutation,
     QuiverError,
     is_period2,
+    _mutate_row,
     mutate,
     permute,
 )
@@ -532,6 +533,32 @@ class Seed:
         )
 
 
+def _monomials(one, pairs):
+    """The two exchange monomials of (value, exponent) pairs: the product of
+    v ** w over w > 0 and the product of v ** -w over w < 0."""
+    m_in = m_out = one
+    for v, w in pairs:
+        if w > 0:
+            m_in = m_in * v ** w
+        elif w < 0:
+            m_out = m_out * v ** -w
+    return m_in, m_out
+
+
+def _exchange(one, pairs, old):
+    """The exchange relation: (m_in + m_out) / old for the monomials of pairs.
+    A Laurent-polynomial quotient must be exact (NonLaurentError otherwise)."""
+    if old == 0:
+        raise ZeroDivisionError("cluster value x_k is zero")
+    m_in, m_out = _monomials(one, pairs)
+    total = m_in + m_out
+    if not isinstance(total, LaurentPoly):
+        return total / old
+    if (new := total.divide(old)) is None:
+        raise NonLaurentError("an exchange left the Laurent ring: from an initial seed, a bug")
+    return new
+
+
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Seed mutation at vertex k: exchange relation for x_k, coefficient
     update for every y, matrix mutation for B.
@@ -546,27 +573,8 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
         raise QuiverError(f"vertex {k} out of range 1..{n}")
     x = list(seed.x)
     y = list(seed.y)
-    xk = x[k - 1]
-    if xk == 0:
-        raise ZeroDivisionError("cluster value x_k is zero")
-
-    m_in = m_out = LaurentPoly.one(n) if seed.symbolic else Fraction(1)
-    for i in range(1, n + 1):
-        w = B.b(i, k)
-        if w > 0:
-            m_in = m_in * x[i - 1] ** w
-        elif w < 0:
-            m_out = m_out * x[i - 1] ** (-w)
-    if seed.symbolic:
-        new_xk = (m_in + m_out).divide(xk)
-        if new_xk is None:
-            raise NonLaurentError(
-                f"exchange at vertex {k} left the Laurent ring; from an initial "
-                "seed this cannot happen and indicates an engine bug"
-            )
-    else:
-        new_xk = (m_in + m_out) / xk
-    x[k - 1] = new_xk
+    one = LaurentPoly.one(n) if seed.symbolic else Fraction(1)
+    x[k - 1] = _exchange(one, zip(x, (row[k - 1] for row in B.rows)), x[k - 1])
 
     yk = Fraction(y[k - 1])
     new_y = []
@@ -584,14 +592,16 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     return Seed(mutate(B, k), tuple(x), tuple(new_y))
 
 
+def _relabel(values: Sequence, s: Permutation) -> list:
+    """values moved to the relabeled vertices: slot s(i) takes values[i]."""
+    out = [None] * len(values)
+    for i, v in enumerate(values, start=1):
+        out[s(i) - 1] = v
+    return out
+
+
 def relabel_seed(seed: Seed, s: Permutation) -> Seed:
-    n = seed.B.n
-    x = [None] * n
-    y = [None] * n
-    for i in range(1, n + 1):
-        x[s(i) - 1] = seed.x[i - 1]
-        y[s(i) - 1] = seed.y[i - 1]
-    return Seed(permute(seed.B, s), tuple(x), tuple(y))
+    return Seed(permute(seed.B, s), tuple(_relabel(seed.x, s)), tuple(_relabel(seed.y, s)))
 
 
 @dataclass
@@ -622,6 +632,16 @@ class OrbitTrace:
         return permute(self.states[u].B, self.spec.sigma() ** (-r))
 
 
+def _quotient(num, den) -> Fraction:
+    """num / den as a Fraction.  Two S-integers cancel their S-parts first,
+    so the only gcd is the one Fraction(num, den) normalises with."""
+    if not (isinstance(num, _SInt) and isinstance(den, _SInt)):
+        return Fraction(num) / Fraction(den)
+    pairs = list(zip(num.base.elems, num.exps, den.exps))
+    return Fraction(num.n * prod(b ** (e - d) for b, e, d in pairs if e > d),
+                    den.n * prod(b ** (d - e) for b, e, d in pairs if d > e))
+
+
 def run_orbit(
     s0: Seed,
     spec: Period2Spec,
@@ -633,30 +653,47 @@ def run_orbit(
     The schedule mutates at 1, then at k, then relabels by sigma and repeats,
     which tracks the mutation points of the periodic orbit; the recorded z/y
     (and A/B) sequences are the values replaced at each step.
+
+    Coefficients follow the separation formula y_j = prod y0_i ** c_ij *
+    prod F_i ** b_ij (Fomin-Zelevinsky, Cluster algebras IV, Props. 3.13 and
+    5.1): the F-values, S-integers over the base of y0, take the x exchange
+    with C (I at the start, mutated as the rows of [B; C]) weighting y0, and
+    a y is formed, with one gcd, only when read.
     """
     if steps < 0:
         raise QuiverError("steps must be >= 0")
     if not is_period2(s0.B, spec):
         raise QuiverError("seed matrix does not satisfy the period-2 equation")
-    sigma = spec.sigma()
-    k = spec.k
+    sigma, n, k = spec.sigma(), spec.n, spec.k
     seq: dict[str, list] = {"z": [], "y": [], "A": [], "B": []}
     states = [s0] if keep_states else None
-    state = s0
-    if all(isinstance(v, (int, Fraction)) for v in s0.x):
-        state = Seed(s0.B, tuple(_lift_all(s0.x)[0]), s0.y)
+    numeric = all(isinstance(v, (int, Fraction)) for v in s0.x)
+    x = _lift_all(s0.x)[0] if numeric else list(s0.x)
+    one_x = LaurentPoly.one(n) if s0.symbolic else Fraction(1)
+    y0, (one,) = _lift_all(s0.y, [1])
+    F, C, B = [one] * n, [[int(i == j) for j in range(n)] for i in range(n)], s0.B
+    ys = list(s0.y)  # each slot's last y, None from a mutation touching it to its next read
+
+    def y_at(j: int):
+        if ys[j] is None:
+            ys[j] = _quotient(*_monomials(one, zip(y0 + F, (r[j] for r in C + list(B.rows)))))
+        return ys[j]
+
     for u in range(steps):
-        if u % 2 == 0:
-            seq["z"].append(state.x[0])
-            seq["A"].append(state.y[0])
-            state = mutate_seed(state, 1)
-        else:
-            seq["y"].append(state.x[k - 1])
-            seq["B"].append(state.y[k - 1])
-            state = mutate_seed(state, k)
-            state = relabel_seed(state, sigma)
+        k0 = 0 if u % 2 == 0 else k - 1
+        seq["zy"[u % 2]].append(x[k0])  # z and A at even steps, y and B at odd
+        seq["AB"[u % 2]].append(y_at(k0))
+        col = [row[k0] for row in B.rows]
+        x[k0] = _exchange(one_x, zip(x, col), x[k0])
+        F[k0] = _exchange(one, zip(y0 + F, [r[k0] for r in C] + col), F[k0])
+        ys = [None if w or j == k0 else v for j, (v, w) in enumerate(zip(ys, col))]
+        C = [_mutate_row(r, B.rows[k0], k0) for r in C]
+        B = mutate(B, k0 + 1)
+        if u % 2:
+            x, F, ys, *C = (_relabel(v, sigma) for v in (x, F, ys, *C))
+            B = permute(B, sigma)
         if keep_states:
-            states.append(Seed(state.B, tuple(map(_plain, state.x)), state.y))
+            states.append(Seed(B, tuple(map(_plain, x)), tuple(map(y_at, range(n)))))
     seq["z"], seq["y"] = (list(map(_plain, seq[name])) for name in "zy")
     return OrbitTrace(spec, s0.B, steps, seq, states)
 

@@ -207,22 +207,23 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     if not 1 <= k <= n:
         raise QuiverError(f"vertex {k} out of range 1..{n}")
     k0 = k - 1
-    old = B.rows
-    rows = []
-    for i in range(n):
-        bik = old[i][k0]
-        if i == k0:
-            rows.append(tuple(-x for x in old[i]))
-            continue
-        row = list(old[i])
-        for j in range(n):
-            if j == k0:
-                row[j] = -row[j]
-            else:
-                bkj = old[k0][j]
-                row[j] += (abs(bik) * bkj + bik * abs(bkj)) // 2
-        rows.append(tuple(row))
-    return ExchangeMatrix(tuple(rows))
+    pivot = B.rows[k0]
+    return ExchangeMatrix(tuple(
+        tuple(-x for x in row) if i == k0 else _mutate_row(row, pivot, k0)
+        for i, row in enumerate(B.rows)
+    ))
+
+
+def _mutate_row(row: tuple[int, ...], pivot: tuple[int, ...], k0: int) -> tuple[int, ...]:
+    """A row i != k under mutation at k (0-based k0), pivot being row k: the
+    mutate() rule, which also moves the rows of an extended matrix [B; C]."""
+    bik = row[k0]
+    if not bik:
+        return row
+    a = abs(bik)
+    out = [b + (a * p + bik * abs(p)) // 2 for b, p in zip(row, pivot)]
+    out[k0] = -bik
+    return tuple(out)
 
 
 def permute(B: ExchangeMatrix, s: Permutation) -> ExchangeMatrix:

@@ -15,7 +15,10 @@ from quiverperiod import (
     PeriodicQuantityTemplate,
     Permutation,
     QuiverError,
+    Seed,
     is_period2,
+    mutate_seed,
+    permute,
     verify_periodic,
 )
 from quiverperiod.systems import _mono, _power_product
@@ -78,6 +81,30 @@ def residual_direct(B: ExchangeMatrix, spec: Period2Spec) -> list[int]:
         (-1 if (i, j) == (1, k) else 1) * (left.b(i, j) - right.b(i, j))
         for i, j in upper_pairs(n)
     ]
+
+
+def coefficient_orbit_direct(seed: Seed, spec: Period2Spec, steps: int):
+    """run_orbit's schedule as plain mutate_seed calls on the input values,
+    so every y follows the direct rule y_j (1 + y_k)^w, with the relabeling by
+    sigma done by hand.  Returns the z/y/A/B sequences and the seed before
+    each step and after the last."""
+    n, sigma = spec.n, spec.sigma()
+    back = sigma.inverse()
+
+    def moved(values):
+        return tuple(values[back(i) - 1] for i in range(1, n + 1))
+
+    seq = {"z": [], "y": [], "A": [], "B": []}
+    states = [seed]
+    for u in range(steps):
+        v = 1 if u % 2 == 0 else spec.k
+        seq["z" if u % 2 == 0 else "y"].append(seed.x[v - 1])
+        seq["A" if u % 2 == 0 else "B"].append(seed.y[v - 1])
+        seed = mutate_seed(seed, v)
+        if u % 2:
+            seed = Seed(permute(seed.B, sigma), moved(seed.x), moved(seed.y))
+        states.append(seed)
+    return seq, states
 
 
 def somos4_direct(C, exponent: int, initial, steps: int):

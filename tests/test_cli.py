@@ -163,6 +163,16 @@ class TestSearchCommand:
         args = ["search", "--n", "3", "--shape", "1cycle", "--k", "2", "--bound", "1"]
         assert run_cli(args + ["--jobs", "0"], capsys) == run_cli(args, capsys)
 
+    @pytest.mark.parametrize("env", ["-3", "0"])
+    def test_nonpositive_jobs_env_exit_2(self, env, monkeypatch, capsys):
+        monkeypatch.setenv("QUIVERPERIOD_JOBS", env)
+        code, out, err = run_cli(
+            ["search", "--n", "3", "--shape", "1cycle", "--k", "2", "--bound", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: QUIVERPERIOD_JOBS must be >= 1, got {env}\n"
+
 
 class TestTsysCommands:
     def test_extract_iterate_verify(self, tmp_path, capsys):
@@ -415,6 +425,22 @@ class TestOrbitCommand:
         assert data["format"] == "quiverperiod/trace-v1"
         assert len(data["z"]) == 6
         assert cpath.read_text().startswith("u,slot,value")
+
+    def test_unwritable_csv_exit_2_before_any_output(self, tmp_path, capsys):
+        B = fm.FAMILY_BY_KEY["n4-k2-1"].matrix(n=1)
+        seed = {"format": "quiverperiod/seed-v1", "n": 4, "b": [list(r) for r in B.rows],
+                "x": ["1"] * 4, "y": ["1"] * 4}
+        spath = tmp_path / "seed.json"
+        spath.write_text(json.dumps(seed))
+        cpath = tmp_path / "missing" / "trace.csv"
+        code, out, err = run_cli(
+            ["orbit", "--seed", str(spath), "--shape", "1cycle", "--k", "2",
+             "--steps", "4", "--csv", str(cpath)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
 class TestVerifyTheorem:

@@ -23,6 +23,7 @@ from quiverperiod import (
 )
 import quiverperiod.families as fm
 from quiverperiod.cluster import _SBase
+from oracles import coefficient_orbit_direct
 
 MARKOV = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 
@@ -325,15 +326,76 @@ class TestSIntegers:
         assert type(total) is F and total == 65537
 
     def test_run_orbit_keeps_input_types(self):
-        # values never replaced keep the type they came in with
+        # values never replaced keep the type they came in with; a y no
+        # mutation has touched (j != k, b_jk = 0 so far) is still its input
         B = fm.FAMILY_BY_KEY["n4-k2-1"].matrix(n=1)
         x0 = (1, F(2, 3), -3, F(5))
-        tr = run_orbit(Seed(B, x0, (F(1),) * 4), Period2Spec(4, ONE_CYCLE, 2), 6)
+        y0 = (2, F(1, 3), 5, 7)
+        tr = run_orbit(Seed(B, x0, y0), Period2Spec(4, ONE_CYCLE, 2), 6)
         assert [type(v) for v in tr.seq["z"]] == [int, F, int]
         assert [type(v) for v in tr.seq["y"]] == [F, F, F]
         assert [[type(v) for v in s.x] for s in tr.states[:5]] == [
             [int, F, int, F], [F, F, int, F], [F, F, F, int], [F, F, F, int], [int, F, F, F]
         ]
+        assert [type(v) for v in tr.seq["A"]] == [int, F, F]
+        assert [type(v) for v in tr.seq["B"]] == [F, F, F]
+        assert [[type(v) for v in s.y] for s in tr.states[:3]] == [
+            [int, F, int, int], [F, F, int, F], [F, F, F, F]
+        ]
+        assert tr.states[1].y[2] is y0[2]
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+def mixed_values(rng, n):
+    return tuple(
+        rng.randint(1, 9) if rng.random() < 0.4 else F(rng.randint(1, 9), rng.randint(1, 9))
+        for _ in range(n)
+    )
+
+
+class TestCoefficientRoute:
+    """run_orbit's separation-formula coefficients against mutate_seed's
+    direct rule, value and type, on every weight <= 3 regression instance."""
+
+    STEPS = 12
+
+    @staticmethod
+    def fallback_y0(n):
+        # 65536 + 1 shares the factor 65537 with the base's composite cofactor
+        # 65537 * 65539, so the first F exchange (y0_1 + 1) leaves the
+        # S-integers and the run continues on Fractions
+        return (65536, F(1, 65537 * 65539)) + (F(2, 3),) * (n - 2)
+
+    def test_fallback_y0_leaves_the_s_integers(self):
+        y0 = self.fallback_y0(3)
+        base = _SBase(y0)
+        assert base.elems == [2, 3, 65537 * 65539]
+        assert type(base.lift(y0[0]) + 1) is F
+
+    def test_matches_direct_mutations(self):
+        rng = random.Random(59)
+        instances = [inst for inst in fm.regression_instances(1)
+                     if max(map(abs, inst[2].flatten())) <= 3]
+        assert len(instances) == 86
+        for index, (fid, spec, B) in enumerate(instances):
+            x0 = mixed_values(rng, B.n)
+            # building a base with the cofactor costs a 2**16-step trial
+            # division, so every fifth instance takes it
+            extra = [self.fallback_y0(B.n)] if index % 5 == 0 else []
+            for y0 in [mixed_values(rng, B.n)] + extra:
+                seed = Seed(B, x0, y0)
+                want, want_states = coefficient_orbit_direct(seed, spec, self.STEPS)
+                lean = run_orbit(seed, spec, self.STEPS, keep_states=False)
+                full = run_orbit(seed, spec, self.STEPS)
+                for name in "zyAB":
+                    assert typed(lean.seq[name]) == typed(want[name]), (fid, name)
+                    assert typed(full.seq[name]) == typed(want[name]), (fid, name)
+                assert [typed(s.y) for s in full.states] == [
+                    typed(s.y) for s in want_states
+                ], fid
 
 
 class TestRunOrbit:

@@ -242,22 +242,50 @@ class TestIterate:
         assert seqs["z"] == trace.seq["z"][: len(seqs["z"])]
         assert seqs["y"] == trace.seq["y"][: len(seqs["y"])]
 
+    @staticmethod
+    def y_systems(lockstep: bool):
+        """(id, spec, B, [extracted, tabulated Y-system]) of each regression
+        instance whose Y-system iterates step by step (lockstep) or reads a
+        slot before it is produced (not lockstep)."""
+        out = []
+        for fid, spec, B in fm.regression_instances(1):
+            systems = [extract_system(B, spec, "Y"), tabulate_system(B, spec, "Y")]
+            try:
+                systems_mod._check_slots(systems[0], required_window(systems[0]))
+                steps_alike = True
+            except QuiverError:
+                steps_alike = False
+            if steps_alike == lockstep:
+                out.append((fid, spec, B, systems))
+        return out
+
     def test_y_system_matches_orbit(self):
+        # the window from run_orbit's A/B sequences, then the system against them
         rng = random.Random(47)
-        family = fm.FAMILY_BY_KEY["n4-k2-1"]
-        B = family.matrix(n=1)
-        x0 = tuple(F(1) for _ in range(4))
-        y0 = tuple(F(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(4))
-        trace = run_orbit(Seed(B, x0, y0), family.spec, 70, keep_states=False)
-        ysys = extract_system(B, family.spec, "Y")
-        need = required_window(ysys)
-        init = {
-            "z": trace.seq["A"][: need["z"]],
-            "y": trace.seq["B"][: need["y"]],
-        }
-        seqs = iterate_system(ysys, init, 25)
-        assert seqs["z"] == trace.seq["A"][: len(seqs["z"])]
-        assert seqs["y"] == trace.seq["B"][: len(seqs["y"])]
+        horizon = 6
+        cases = self.y_systems(lockstep=True)
+        assert len(cases) == 63
+        for fid, spec, B, systems in cases:
+            need = required_window(systems[0])
+            y0 = tuple(F(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(B.n))
+            steps = 2 * (max(need.values()) + horizon) + 2
+            trace = run_orbit(Seed(B, (1,) * B.n, y0), spec, steps, keep_states=False)
+            init = {"z": trace.seq["A"][: need["z"]], "y": trace.seq["B"][: need["y"]]}
+            for ysys in systems:
+                seqs = iterate_system(ysys, init, horizon)
+                assert seqs["z"] == trace.seq["A"][: len(seqs["z"])], str(fid)
+                assert seqs["y"] == trace.seq["B"][: len(seqs["y"])], str(fid)
+
+    def test_read_ahead_y_systems_rejected(self):
+        # the Y-systems without an orbit check yet: each reads an A or B slot
+        # its step has not produced, and iterate_system refuses it
+        cases = self.y_systems(lockstep=False)
+        assert len(cases) == 26
+        for fid, spec, B, systems in cases:
+            window = {name: [F(1)] * cnt for name, cnt in required_window(systems[0]).items()}
+            for ysys in systems:
+                with pytest.raises(QuiverError, match="before it is produced"):
+                    iterate_system(ysys, window, 1)
 
     def test_zero_divisor_reported(self):
         sys, _ = tsys("n4-k2-1", n=1)
