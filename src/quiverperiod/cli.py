@@ -160,12 +160,17 @@ def cmd_verify_theorem(args) -> int:
     report = families.verify_theorem(
         theorem, args.max_param, search_bound=args.bound, jobs=_default_jobs()
     )
-    if args.format == "structured":
-        print(json.dumps({"theorem": report.name, **report.to_dict()}, indent=2))
+    return _print_report(report, args.format, {"theorem": report.name}, report.name)
+
+
+def _print_report(report: Report, fmt: str, header: dict, summary: str) -> int:
+    """Print header + report as JSON, or its lines and an OK/FAILED summary."""
+    if fmt == "structured":
+        print(json.dumps({**header, **report.to_dict()}, indent=2))
     else:
         for line in report.lines():
             print(line)
-        print(f"{'OK' if report.ok else 'FAILED'}: {report.name}")
+        print(f"{'OK' if report.ok else 'FAILED'}: {summary}")
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -273,14 +278,8 @@ def cmd_reproduce(args) -> int:
         report = families.verify_theorem(
             theorem, max_param, search_bound=bound, jobs=_default_jobs()
         )
-    if args.format == "structured":
-        payload = {"section": section, "seed": args.seed, **report.to_dict()}
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in report.lines():
-            print(line)
-        print(f"{'OK' if report.ok else 'FAILED'}: {len(report.rows)} checks")
-    return EXIT_OK if report.ok else EXIT_VERIFY
+    header = {"section": section, "seed": args.seed}
+    return _print_report(report, args.format, header, f"{len(report.rows)} checks")
 
 
 def cmd_orbit(args) -> int:
@@ -378,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tsys_verify_periodic)
 
     p = tsub.add_parser("somos", help="full vs reduced recurrence comparison")
-    p.add_argument("--family", required=True, choices=["s82", "s84", "s86"])
+    p.add_argument("--family", required=True, choices=reductions.SOMOS_TAGS)
     p.add_argument("--param", required=True, type=int)
     p.add_argument("--steps", type=int, default=30)
     p.set_defaults(func=cmd_tsys_somos)

@@ -202,18 +202,19 @@ def families_of(theorem: str) -> list[Family]:
     return [f for f in _FAMILIES if f.theorem == theorem]
 
 
-def generate_family(fid: FamilyId) -> ExchangeMatrix:
+def _family(fid: FamilyId) -> Family:
     fam = FAMILY_BY_ID.get((fid.theorem, fid.index))
     if fam is None:
         raise QuiverError(f"no family {fid.theorem}#{fid.index}")
-    return fam.matrix(**fid.params)
+    return fam
+
+
+def generate_family(fid: FamilyId) -> ExchangeMatrix:
+    return _family(fid).matrix(**fid.params)
 
 
 def family_spec(fid: FamilyId) -> Period2Spec:
-    fam = FAMILY_BY_ID.get((fid.theorem, fid.index))
-    if fam is None:
-        raise QuiverError(f"no family {fid.theorem}#{fid.index}")
-    return fam.spec
+    return _family(fid).spec
 
 
 def iter_instances(

@@ -22,13 +22,13 @@ from .systems import (
     DEFAULT_BIT_BUDGET,
     SystemSpec,
     extract_system,
-    initial_window_from_seed,
     iterate_system,
     required_window,
     verify_periodic,
 )
 
 SECTION_TAGS = ("s81", "s82", "s83", "s84", "s85", "s86")
+SOMOS_TAGS = ("s82", "s84", "s86")
 
 # parameter values whose T-systems have monomial exponent sums <= 2, so the
 # exact values stay polynomially sized over 50+ steps
@@ -48,24 +48,13 @@ def _tsys_for(tag: str, value: int) -> SystemSpec:
     return extract_system(B, fam.spec, "T")
 
 
-def _random_window(sys: SystemSpec, rng: random.Random) -> dict[str, list]:
-    need = required_window(sys)
-    return {
-        name: [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(cnt)]
-        for name, cnt in need.items()
-    }
+def _window(sys: SystemSpec, draw) -> dict[str, list]:
+    return {name: [draw() for _ in range(cnt)] for name, cnt in required_window(sys).items()}
 
 
-def _ones_window(sys: SystemSpec) -> dict[str, list]:
-    need = required_window(sys)
-    return {name: [Fraction(1)] * cnt for name, cnt in need.items()}
-
-
-def iterate_family(tag: str, value: int, steps: int, window=None) -> dict[str, list]:
+def iterate_family(tag: str, value: int, steps: int) -> dict[str, list]:
     sys = _tsys_for(tag, value)
-    if window is None:
-        window = _ones_window(sys)
-    return iterate_system(sys, window, steps)
+    return iterate_system(sys, _window(sys, lambda: Fraction(1)), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +62,31 @@ def iterate_family(tag: str, value: int, steps: int, window=None) -> dict[str, l
 # ---------------------------------------------------------------------------
 
 
-def reduce_somos4(tag: str, value: int, terms: int, window=None) -> Row:
+def _constants(tag: str, full: dict[str, list]) -> list[Fraction]:
+    """The suite's built-in quantity at q = 0 .. period-1."""
+    template = BUILTIN_TEMPLATES[tag]
+    return [template.eval_at(full, q) for q in range(template.claimed_period)]
+
+
+def _is_prefix(reduced: list, full) -> bool:
+    return reduced == list(full[: len(reduced)])
+
+
+def _check(tag, value, steps, names, start, stop, step, label) -> Row:
+    """Iterate suite `tag` at `value` from the all-ones window for `steps`
+    steps and read its constants C; extend the first `start` values of the
+    `names` sequences to `stop` values by calling step(C, q, *sequences) for
+    q = 0, 1, ..., and compare with the full trace.  `label` may use {C}."""
+    full = iterate_family(tag, value, steps)
+    C = _constants(tag, full)
+    seqs = {name: list(full[name][:start]) for name in names}
+    for q in range(stop - start):
+        step(C, q, *seqs.values())
+    ok = all(_is_prefix(vals, full[name]) for name, vals in seqs.items())
+    return Row(label.format(C=C[0]), ok)
+
+
+def reduce_somos4(tag: str, value: int, terms: int) -> Row:
     """s82/s84: the constant turns the pair into
     z(q+4) z(q) = z(q+1) z(q+3) + C z(q+2)^e; `terms` counts compared
     z-values, seed window included."""
@@ -81,58 +94,46 @@ def reduce_somos4(tag: str, value: int, terms: int, window=None) -> Row:
         raise QuiverError("reduce_somos4 applies to suites s82 and s84")
     if terms < 6:
         raise QuiverError("need at least 6 terms")
-    template = BUILTIN_TEMPLATES[tag]
-    sys = _tsys_for(tag, value)
-    zwin = required_window(sys)["z"]
-    full = iterate_family(tag, value, terms - zwin, window)
-    C = template.eval_at(full, 0)
-    z = list(full["z"][:4])
-    for q in range(terms - 4):
-        z.append((z[q + 1] * z[q + 3] + C * z[q + 2] ** value) / z[q])
-    ok = len(full["z"]) >= terms and z[:terms] == full["z"][:terms]
-    return Row(
+
+    def step(C, q, z):
+        z.append((z[q + 1] * z[q + 3] + C[0] * z[q + 2] ** value) / z[q])
+
+    zwin = required_window(_tsys_for(tag, value))["z"]
+    return _check(
+        tag, value, terms - zwin, ("z",), 4, terms, step,
         f"{tag} exp={value}: reduced Somos-4 form matches the full system "
-        f"for {terms} terms (C={C})",
-        ok,
+        f"for {terms} terms (C={{C}})",
     )
 
 
-def reduce_somos5(value: int, terms: int, window=None) -> Row:
+def reduce_somos5(value: int, terms: int) -> Row:
     """s86: y(q+5) y(q) = y(q+3) y(q+2) + C y(q+1)^(n-1) y(q+4)^(n-1);
     `terms` counts compared y-values, seed window included."""
     if terms < 7:
         raise QuiverError("need at least 7 terms")
-    template = BUILTIN_TEMPLATES["s86"]
-    full = iterate_family("s86", value, terms - 4, window)
-    C = template.eval_at(full, 0)
-    y = list(full["y"][:5])
     e = value - 1
-    for q in range(terms - 5):
-        y.append((y[q + 3] * y[q + 2] + C * y[q + 1] ** e * y[q + 4] ** e) / y[q])
-    ok = len(full["y"]) >= terms and y[:terms] == full["y"][:terms]
-    return Row(
+
+    def step(C, q, y):
+        y.append((y[q + 3] * y[q + 2] + C[0] * y[q + 1] ** e * y[q + 4] ** e) / y[q])
+
+    return _check(
+        "s86", value, terms - 4, ("y",), 5, terms, step,
         f"s86 n={value}: reduced Somos-5 form matches the full system "
-        f"for {terms} terms (C={C})",
-        ok,
+        f"for {terms} terms (C={{C}})",
     )
 
 
-def reduce_s81(value: int, steps: int, window=None) -> Row:
+def reduce_s81(value: int, steps: int) -> Row:
     """s81: C(q) = y(q)/z(q+1) has period 2 and the system collapses to
     C(q+1) z(q+2) z(q) = C(q)^n z(q+1)^(2n) + 1."""
-    full = iterate_family("s81", value, steps, window)
-    C0 = full["y"][0] / full["z"][1]
-    C1 = full["y"][1] / full["z"][2]
-    z = list(full["z"][:2])
-    for q in range(steps):
-        Cq = C0 if q % 2 == 0 else C1
-        Cq1 = C1 if q % 2 == 0 else C0
-        z.append((Cq ** value * z[q + 1] ** (2 * value) + 1) / (Cq1 * z[q]))
-    ok = z[: steps + 2] == full["z"][: steps + 2]
-    return Row(
+
+    def step(C, q, z):
+        z.append((C[q % 2] ** value * z[q + 1] ** (2 * value) + 1) / (C[(q + 1) % 2] * z[q]))
+
+    return _check(
+        "s81", value, steps, ("z",), 2, steps + 2, step,
         f"s81 n={value}: period-2 quantity reduces the pair to a single "
         f"recurrence matching {steps} terms",
-        ok,
     )
 
 
@@ -140,86 +141,72 @@ def reduce_s81_y(value: int, A_seq, B_seq, steps: int) -> Row:
     """s81 coefficient side: D(q) = A(q+1)/B(q) has period 2; replacing
     B(q) = A(q+1)/D(q) in the pair leaves the single recurrence
     A(q+2) A(q) = D(q+1) (1+A(q+1))^n (1 + A(q+1)/D(q))^n."""
-    D0 = A_seq[1] / B_seq[0]
-    D1 = A_seq[2] / B_seq[1]
+    D = [A_seq[1] / B_seq[0], A_seq[2] / B_seq[1]]
     A = list(A_seq[:2])
     n = value
     for q in range(steps):
-        Dq = D0 if q % 2 == 0 else D1
-        Dq1 = D1 if q % 2 == 0 else D0
-        A.append(Dq1 * (1 + A[q + 1]) ** n * (1 + A[q + 1] / Dq) ** n / A[q])
-    ok = A[: steps + 2] == list(A_seq[: steps + 2])
+        A.append(D[(q + 1) % 2] * (1 + A[q + 1]) ** n * (1 + A[q + 1] / D[q % 2]) ** n / A[q])
     return Row(
         f"s81 n={value}: coefficient-side period-2 quantity reduces the "
         f"Y-pair, matching {steps} terms",
-        ok,
+        _is_prefix(A, A_seq),
     )
 
 
-def reduce_s83(value: int, steps: int, window=None) -> Row:
+def reduce_s83(value: int, steps: int) -> Row:
     """s83: with the constant C the pair becomes
     y(q+3) y(q) = C z(q+2)^2 y(q+1)^n y(q+2)^n + 1,
     C z(q+2) z(q+1) = y(q) y(q+2) + y(q+1)   (z not fully eliminated)."""
-    full = iterate_family("s83", value, steps + 1, window)
-    C = BUILTIN_TEMPLATES["s83"].eval_at(full, 0)
-    y = list(full["y"][:3])
-    z = list(full["z"][:3])
-    n = value
-    for q in range(steps):
-        y.append((C * z[q + 2] ** 2 * y[q + 1] ** n * y[q + 2] ** n + 1) / y[q])
-        z.append((y[q + 1] * y[q + 3] + y[q + 2]) / (C * z[q + 2]))
-    ok = (
-        y[: steps + 3] == full["y"][: steps + 3]
-        and z[: steps + 3] == full["z"][: steps + 3]
-    )
-    return Row(
+
+    def step(C, q, y, z):
+        y.append((C[0] * z[q + 2] ** 2 * y[q + 1] ** value * y[q + 2] ** value + 1) / y[q])
+        z.append((y[q + 1] * y[q + 3] + y[q + 2]) / (C[0] * z[q + 2]))
+
+    return _check(
+        "s83", value, steps + 1, ("y", "z"), 3, steps + 3, step,
         f"s83 n={value}: half-reduced pair reproduces the full trace "
-        f"for {steps} terms (C={C})",
-        ok,
+        f"for {steps} terms (C={{C}})",
     )
 
 
-def reduce_s85(value: int, steps: int, window=None) -> Row:
+def reduce_s85(value: int, steps: int) -> Row:
     """s85: C(q) = (z(q)+1)/(y(q+2) y(q)) has period 2 and eliminates z:
     C(q) y(q+4) y(q+2) y(q) = (C(q+1) y(q+3) y(q+1) - 1)^m y(q+2) + y(q+4) + y(q),
     i.e. substituting z(q) = C(q) y(q+2) y(q) - 1 into the second equation."""
-    full = iterate_family("s85", value, steps, window)
-    tmpl = BUILTIN_TEMPLATES["s85"]
-    C0 = tmpl.eval_at(full, 0)
-    C1 = tmpl.eval_at(full, 1)
-    y = list(full["y"][:4])
-    m = value
-    for q in range(steps):
-        Cq = C0 if q % 2 == 0 else C1
-        Cq1 = C1 if q % 2 == 0 else C0
-        rhs = (Cq1 * y[q + 3] * y[q + 1] - 1) ** m * y[q + 2] + y[q]
-        denom = Cq * y[q + 2] * y[q] - 1
+
+    def step(C, q, y):
+        rhs = (C[(q + 1) % 2] * y[q + 3] * y[q + 1] - 1) ** value * y[q + 2] + y[q]
+        denom = C[q % 2] * y[q + 2] * y[q] - 1
         y.append(rhs / denom)
-    ok = y[: steps + 4] == full["y"][: steps + 4]
-    return Row(
+
+    return _check(
+        "s85", value, steps, ("y",), 4, steps + 4, step,
         f"s85 m={value}: period-2 quantity eliminates z, matching {steps} terms",
-        ok,
     )
 
 
-def somos_reduce(
-    family: str, param: int, steps: int = 30, window=None
-) -> Report:
+def somos_reduce(family: str, param: int, steps: int = 30) -> Report:
     """Reduce one of the Somos-producing suites and compare with the full
     iteration: s82/s84 reduce to the 4-term form, s86 to the 5-term form."""
-    if family not in ("s82", "s84", "s86"):
-        raise QuiverError("somos_reduce supports families s82, s84, s86")
-    report = Report(family)
-    if family in ("s82", "s84"):
-        report.rows.append(reduce_somos4(family, param, steps, window))
-    else:
-        report.rows.append(reduce_somos5(param, steps, window))
-    return report
+    if family not in SOMOS_TAGS:
+        raise QuiverError(f"somos_reduce supports families {', '.join(SOMOS_TAGS)}")
+    row = reduce_somos5(param, steps) if family == "s86" else reduce_somos4(family, param, steps)
+    return Report(family, [row])
 
 
 # ---------------------------------------------------------------------------
 # per-suite verification drivers
 # ---------------------------------------------------------------------------
+
+# each suite's reduction checks; lambdas look the reducers up at call time
+_REDUCTIONS = {
+    "s81": lambda: [reduce_s81(TAME_PARAM["s81"], 30)],
+    "s82": lambda: [reduce_somos4("s82", p, 30) for p in (1, 2, 3)],
+    "s83": lambda: [reduce_s83(0, 30), reduce_s83(1, 6)],
+    "s84": lambda: [reduce_somos4("s84", l, 30) for l in (1, 2, 3)],
+    "s85": lambda: [reduce_s85(1, 30), reduce_s85(2, 6)],
+    "s86": lambda: [reduce_somos5(2, 30), reduce_somos5(3, 10)],
+}
 
 
 def verify_section(
@@ -233,14 +220,17 @@ def verify_section(
     if tag not in SECTION_TAGS:
         raise QuiverError(f"unknown section tag {tag!r}")
     rng = rng or random.Random(20240 + int(tag[1:]))
+
+    def draw():
+        return Fraction(rng.randint(1, 6), rng.randint(1, 6))
+
     report = Report(tag)
     template = BUILTIN_TEMPLATES[tag]
+    need = template.claimed_period + template.max_offset()
     tame = TAME_PARAM[tag]
     sys = _tsys_for(tag, tame)
-    pad = template.max_offset() + template.claimed_period + 2
     for s in range(seeds):
-        window = _random_window(sys, rng)
-        seqs = iterate_system(sys, window, horizon + pad)
+        seqs = iterate_system(sys, _window(sys, draw), horizon + need + 2)
         res = verify_periodic(seqs, template, horizon)
         report.add(
             f"{tag} param={tame} seed {s + 1}: quantity has exact period "
@@ -251,15 +241,11 @@ def verify_section(
     # heavier parameters: the exact values grow like S^q in the largest
     # monomial exponent sum S, so iterate under a bit budget and verify the
     # quantity as far as that allows
-    fam, pname = section_family(tag)
     for value in (tame + 1, tame + 2):
-        lo = fam.param_min.get(pname, 0)
-        if value < lo:
-            continue
         sys_v = _tsys_for(tag, value)
-        window = _random_window(sys_v, rng)
-        need = template.claimed_period + template.max_offset()
-        seqs = iterate_system(sys_v, window, 12 + need, bit_budget=DEFAULT_BIT_BUDGET)
+        seqs = iterate_system(
+            sys_v, _window(sys_v, draw), 12 + need, bit_budget=DEFAULT_BIT_BUDGET
+        )
         short = len(seqs["z"]) - required_window(sys_v)["z"] - need
         if short < 2:
             report.add(
@@ -273,22 +259,5 @@ def verify_section(
             "(growth-bounded horizon)",
             res.ok,
         )
-    # reductions
-    if tag == "s81":
-        report.rows.append(reduce_s81(tame, 30))
-    elif tag == "s82":
-        for p in (1, 2, 3):
-            report.rows.append(reduce_somos4("s82", p, 30))
-    elif tag == "s83":
-        report.rows.append(reduce_s83(0, 30))
-        report.rows.append(reduce_s83(1, 6))
-    elif tag == "s84":
-        for l in (1, 2, 3):
-            report.rows.append(reduce_somos4("s84", l, 30))
-    elif tag == "s85":
-        report.rows.append(reduce_s85(1, 30))
-        report.rows.append(reduce_s85(2, 6))
-    elif tag == "s86":
-        report.rows.append(reduce_somos5(2, 30))
-        report.rows.append(reduce_somos5(3, 10))
+    report.rows.extend(_REDUCTIONS[tag]())
     return report

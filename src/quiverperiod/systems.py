@@ -153,14 +153,21 @@ class SystemSpec:
     eq2: EquationSpec
 
     def __post_init__(self):
+        if self.kind not in ("T", "Y", "TZ"):
+            raise QuiverError(f"unknown system kind {self.kind!r}")
+        if self.B0.n != self.spec.n:
+            raise QuiverError(f"b is {self.B0.n}x{self.B0.n} but n is {self.spec.n}")
         for eq in (self.eq1, self.eq2):
+            if len(eq.lhs) != 2:
+                raise QuiverError(f"lhs {list(eq.lhs)!r} must have exactly two slots")
+            # offsets and exponents are plain ints: type() also rules out bool
             for seq, off in (*eq.lhs, *eq.plus, *eq.minus):
-                if seq not in ("z", "y") or off < 0:
+                if seq not in ("z", "y") or type(off) is not int or off < 0:
                     raise QuiverError(f"bad slot {(seq, off)!r}")
             for table in (eq.plus, eq.minus):
                 for slot, e in table.items():
-                    if e < 0:
-                        raise QuiverError(f"negative exponent at {slot}")
+                    if type(e) is not int or e < 0:
+                        raise QuiverError(f"bad exponent {e!r} at {slot}")
 
     def equations(self) -> tuple[EquationSpec, EquationSpec]:
         return self.eq1, self.eq2

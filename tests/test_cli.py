@@ -301,10 +301,11 @@ class TestTsysCommands:
         assert err.startswith("error: ") and "steps" in err
 
 
-def _n4_system(**eq1_changes):
+def _n4_system(top=(), **eq1_changes):
     family = fm.FAMILY_BY_KEY["n4-k2-1"]
     data = extract_system(family.matrix(n=1), family.spec, "T").to_dict()
     data["eq1"].update(eq1_changes)
+    data.update(top)
     return json.dumps(data)
 
 
@@ -336,6 +337,15 @@ MALFORMED = {
     "system-reads-ahead": (
         _ITERATE, {"SYS": _n4_system(plus=[["z", 9, 1]]), "INIT": _GOOD_INIT}
     ),
+    "system-one-slot-lhs": (_ITERATE, {"SYS": _n4_system(lhs=[["z", 0]]), "INIT": _GOOD_INIT}),
+    "system-fractional-exponent": (
+        _ITERATE, {"SYS": _n4_system(plus=[["y", 0, 1.5], ["z", 1, 1]]), "INIT": _GOOD_INIT}
+    ),
+    "system-bool-offset": (
+        _ITERATE, {"SYS": _n4_system(plus=[["y", False, 1], ["z", 1, 1]]), "INIT": _GOOD_INIT}
+    ),
+    "system-unknown-kind": (_ITERATE, {"SYS": _n4_system({"kind": "Q"}), "INIT": _GOOD_INIT}),
+    "system-n-mismatch": (_ITERATE, {"SYS": _n4_system({"n": 5}), "INIT": _GOOD_INIT}),
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -61,3 +62,19 @@ def test_reduce_s86_higher_exponent():
 def test_verify_section_quick(tag):
     rep = red.verify_section(tag, seeds=2, horizon=16)
     assert rep.ok, [r.label for r in rep.rows if not r.ok]
+
+
+# sha256 of repr([(label, ok, detail), ...]) over the rows of
+# verify_section(tag, seeds=2, horizon=16, rng=Random(5)) for every tag, then
+# of somos_reduce for s82/2, s84/1, s84/3 and s86/2
+ROWS_DIGEST = "bd98ed6c3eee00cdb2939f0a752b1dbfd513542f61347593e4a79739020a13ad"
+
+
+def test_reduction_rows_match_golden_digest():
+    rows = []
+    for tag in red.SECTION_TAGS:
+        rows += red.verify_section(tag, seeds=2, horizon=16, rng=random.Random(5)).rows
+    for family, param in (("s82", 2), ("s84", 1), ("s84", 3), ("s86", 2)):
+        rows += somos_reduce(family, param).rows
+    flat = [(r.label, r.ok, r.detail) for r in rows]
+    assert hashlib.sha256(repr(flat).encode()).hexdigest() == ROWS_DIGEST, flat
