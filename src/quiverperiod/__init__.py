@@ -44,7 +44,6 @@ from .systems import (
     SystemSpec,
     check_TZ_condition,
     extract_system,
-    forward_points,
     g_exponent,
     h_exponent,
     initial_window_from_seed,

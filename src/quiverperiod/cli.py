@@ -11,7 +11,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import families, formats, reductions
 from .cluster import OrbitTrace, run_orbit
@@ -182,8 +181,11 @@ def _parse_window(path: str) -> dict[str, list]:
             isinstance(data.get(name, []), list) for name in ("z", "y")
         ):
             raise ValueError("expected an object with 'z' and 'y' lists")
-        return {name: [Fraction(v) for v in data.get(name, [])] for name in ("z", "y")}
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return {
+            name: [formats._parse_frac(v, f"{name}[{i}]") for i, v in enumerate(data.get(name, []))]
+            for name in ("z", "y")
+        }
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
 

@@ -67,7 +67,10 @@ def _frac_str(v) -> str:
 
 
 def _parse_frac(s, where: str) -> Fraction:
+    """A rational from a JSON integer or string; a float or bool is refused."""
     try:
+        if type(s) is not int and not isinstance(s, str):
+            raise TypeError("expected an integer or a string")
         return Fraction(s)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {s!r} in {where}: {exc}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 import re
@@ -39,18 +40,6 @@ Slot = tuple[str, int]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MutationPointTable:
-    """Vertices mutated at each time step, with the gaps to the neighbouring
-    mutations at the same vertex (lambda_plus forward, lambda_minus back)."""
-
-    spec: Period2Spec
-    window: tuple[int, int]
-    points: dict[int, int]  # u -> vertex
-    lambda_plus: dict[tuple[int, int], int]
-    lambda_minus: dict[tuple[int, int], int]
-
-
 def vertex_at(spec: Period2Spec, u: int) -> int:
     """The vertex mutated at time u: nu^r(1) for u = 2r, nu^r(k) for u = 2r+1."""
     r, l = divmod(u, 2)
@@ -67,20 +56,6 @@ def lambdas_at(spec: Period2Spec, i: int, u: int) -> tuple[int, int]:
         return 2 * n - 2 * k + 1, 2 * k - 1
     gap = 2 * (k - 1) if i <= k - 1 else 2 * (n - k + 1)
     return gap, gap
-
-
-def forward_points(spec: Period2Spec, window: tuple[int, int]) -> MutationPointTable:
-    lo, hi = window
-    points = {}
-    lp = {}
-    lm = {}
-    for u in range(lo, hi + 1):
-        i = vertex_at(spec, u)
-        points[u] = i
-        plus, minus = lambdas_at(spec, i, u)
-        lp[(i, u)] = plus
-        lm[(i, u)] = minus
-    return MutationPointTable(spec, window, points, lp, lm)
 
 
 def _b_at(spec: Period2Spec, B0: ExchangeMatrix, B1: ExchangeMatrix, j: int, i: int, u: int) -> int:
@@ -249,81 +224,69 @@ class SystemSpec:
         )
 
 
-def _bar(n: int):
-    return lambda v: (v - 1) % n + 1
-
-
-def extract_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSpec:
-    """Closed-form system: exponents read directly off B(0) and B(1) = mu_1(B)."""
+def _checked(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> tuple[str, ExchangeMatrix]:
+    """The upper-cased kind and B(1) = mu_1(B), once kind and B are checked."""
     kind = kind.upper()
     if kind not in ("T", "Y", "TZ"):
         raise QuiverError(f"unknown system kind {kind!r}")
     if not is_period2(B, spec):
         raise QuiverError("matrix does not satisfy the period-2 equation")
-    n, k = spec.n, spec.k
-    B1 = mutate(B, 1)
-    bar = _bar(n)
-    nu = spec.nu()
+    return kind, mutate(B, 1)
 
-    def bracket(x):
-        return max(x, 0)
 
-    def table(pairs) -> tuple[dict[Slot, int], dict[Slot, int]]:
-        plus = {}
-        minus = {}
-        for slot, b in pairs:
-            if bracket(b):
-                plus[slot] = bracket(b)
-            if bracket(-b):
-                minus[slot] = bracket(-b)
-        return plus, minus
+def extract_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSpec:
+    """Closed-form system: exponents read directly off B(0) and B(1) = mu_1(B).
 
-    if kind in ("T", "TZ"):
-        if spec.shape == ONE_CYCLE:
-            pairs1 = [(("z", p), B.b(bar(1 - p), 1)) for p in range(1, n - k + 1)]
-            pairs1 += [(("y", p), B.b(bar(k - p), 1)) for p in range(0, k - 1)]
-            eq1 = EquationSpec((("z", 0), ("y", k - 1)), *table(pairs1))
-            pairs2 = [(("z", p), B1.b(bar(1 - p), k)) for p in range(1, n - k + 1)]
-            pairs2 += [(("y", p), B1.b(bar(k - p), k)) for p in range(1, k)]
-            eq2 = EquationSpec((("y", 0), ("z", n - k + 1)), *table(pairs2))
-        else:
-            pairs1 = [(("z", p), B.b((nu ** p)(1), 1)) for p in range(1, k - 1)]
-            pairs1 += [(("y", p), B.b((nu ** p)(k), 1)) for p in range(0, n - k + 1)]
-            eq1 = EquationSpec((("z", 0), ("z", k - 1)), *table(pairs1))
-            pairs2 = [(("z", p), B1.b((nu ** p)(1), k)) for p in range(1, k)]
-            pairs2 += [(("y", p), B1.b((nu ** p)(k), k)) for p in range(1, n - k + 1)]
-            eq2 = EquationSpec((("y", 0), ("y", n - k + 1)), *table(pairs2))
-        return SystemSpec(kind, spec, B, eq1, eq2)
+    Equation idx (0 or 1) has slots p of sequence l (0 for z, 1 for y) from
+    1 (z) or idx (y) up to a last offset set by kind and shape.  With the
+    anchors (B(0), 1) and (B(1), k), a T-kind slot carries b[v][a] of the
+    anchor of equation idx at v = vertex_at(spec, 2p + l), the vertex mutated
+    at the slot's time; a Y-kind slot carries -b[a][v] of the anchor of
+    sequence l at v = vertex_at(spec, idx - 2p).  Positive values go to plus,
+    negative ones to minus.
+    """
+    kind, B1 = _checked(B, spec, kind)
+    k, m = spec.k, spec.n - spec.k
+    # the last z and y offsets of each equation; z starts at 1, y at idx
+    last = {
+        ("T", ONE_CYCLE): ((m, k - 2), (m, k - 1)),
+        ("T", TWO_CYCLE): ((k - 2, m), (k - 1, m)),
+        ("Y", ONE_CYCLE): ((k - 1, k - 2), (m, m)),
+        ("Y", TWO_CYCLE): ((k - 2, k - 2), (m + 1, m)),
+    }["Y" if kind == "Y" else "T", spec.shape]
+    produced = ("y", "z") if spec.shape == ONE_CYCLE else ("z", "y")
+    anchors = ((B, 1), (B1, k))
+    eqs = []
+    for idx, (seq0, out, off) in enumerate(zip(("z", "y"), produced, (k - 1, m + 1))):
+        plus: dict[Slot, int] = {}
+        minus: dict[Slot, int] = {}
+        for l, seq in enumerate(("z", "y")):
+            for p in range(1 if l == 0 else idx, last[idx][l] + 1):
+                if kind == "Y":
+                    mat, a = anchors[l]
+                    b = -mat.b(a, vertex_at(spec, idx - 2 * p))
+                else:
+                    mat, a = anchors[idx]
+                    b = mat.b(vertex_at(spec, 2 * p + l), a)
+                if b > 0:
+                    plus[seq, p] = b
+                elif b < 0:
+                    minus[seq, p] = -b
+        eqs.append(EquationSpec(((seq0, 0), (out, off)), plus, minus))
+    return SystemSpec(kind, spec, B, *eqs)
 
-    # Y-kind: numerator exponents [-b], denominator [b], entries at time of
-    # the running product point.
-    if spec.shape == ONE_CYCLE:
-        pairs1 = [(("z", p), -B.b(1, bar(1 + p))) for p in range(1, k)]
-        pairs1 += [(("y", p), -B1.b(k, bar(1 + p))) for p in range(0, k - 1)]
-        eq1 = EquationSpec((("z", 0), ("y", k - 1)), *table(pairs1))
-        pairs2 = [(("z", p), -B.b(1, bar(k + p))) for p in range(1, n - k + 1)]
-        pairs2 += [(("y", p), -B1.b(k, bar(k + p))) for p in range(1, n - k + 1)]
-        eq2 = EquationSpec((("y", 0), ("z", n - k + 1)), *table(pairs2))
-    else:
-        pairs1 = [(("z", p), -B.b(1, (nu ** (-p))(1))) for p in range(1, k - 1)]
-        pairs1 += [(("y", p), -B1.b(k, (nu ** (-p))(1))) for p in range(0, k - 1)]
-        eq1 = EquationSpec((("z", 0), ("z", k - 1)), *table(pairs1))
-        pairs2 = [(("z", p), -B.b(1, (nu ** (-p))(k))) for p in range(1, n - k + 2)]
-        pairs2 += [(("y", p), -B1.b(k, (nu ** (-p))(k))) for p in range(1, n - k + 1)]
-        eq2 = EquationSpec((("y", 0), ("y", n - k + 1)), *table(pairs2))
-    return SystemSpec("Y", spec, B, eq1, eq2)
+
+def _slot(u: int) -> Slot:
+    """The slot of time u: ("z", r) for u = 2r, ("y", r) for u = 2r+1."""
+    r, l = divmod(u, 2)
+    return ("z" if l == 0 else "y", r)
 
 
 def tabulate_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSpec:
     """First-principles system: walk the mutation-point windows and collect
     H (T-kind) or G (Y-kind) exponents.  Independent of extract_system."""
-    kind = kind.upper()
-    if kind not in ("T", "Y", "TZ"):
-        raise QuiverError(f"unknown system kind {kind!r}")
-    if not is_period2(B, spec):
-        raise QuiverError("matrix does not satisfy the period-2 equation")
+    kind, B1 = _checked(B, spec, kind)
     n = spec.n
-    B1 = mutate(B, 1)
     expo = h_exponent if kind in ("T", "TZ") else g_exponent
 
     def build(u: int) -> EquationSpec:
@@ -336,18 +299,12 @@ def tabulate_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSp
                 continue
             j = vertex_at(spec, v)
             hp, hm = expo(j, v, i, u, spec, B, B1)
-            r, l = divmod(v, 2)
-            slot = ("z" if l == 0 else "y", r)
+            slot = _slot(v)
             if hp:
                 plus[slot] = plus.get(slot, 0) + hp
             if hm:
                 minus[slot] = minus.get(slot, 0) + hm
-        out_u = u + lam_plus
-        r, l = divmod(out_u, 2)
-        out_slot = ("z" if l == 0 else "y", r)
-        r, l = divmod(u, 2)
-        lhs = (("z" if l == 0 else "y", r), out_slot)
-        return EquationSpec(lhs, plus, minus)
+        return EquationSpec((_slot(u), _slot(u + lam_plus)), plus, minus)
 
     return SystemSpec(kind, spec, B, build(0), build(1))
 
@@ -457,6 +414,8 @@ def iterate_system(
     """
     if steps < 0:
         raise QuiverError("steps must be >= 0")
+    if bit_budget is not None and bit_budget < 1:
+        raise QuiverError(f"bit budget must be >= 1, got {bit_budget}")
     need = required_window(sys)
     _check_slots(sys, need)
     seqs: dict[str, list] = {}
@@ -534,13 +493,12 @@ class PeriodicQuantityTemplate:
             raise ZeroDivisionError(f"template {self.name} denominator vanished at q={q}")
         return side(self.num) / den
 
+    def slots(self) -> list[Slot]:
+        """The slot of every factor, numerator first."""
+        return [slot for side in (self.num, self.den) for _, fs in side for slot, _e in fs]
+
     def max_offset(self) -> int:
-        out = 0
-        for side in (self.num, self.den):
-            for _, factors in side:
-                for (_, off), _e in factors:
-                    out = max(out, off)
-        return out
+        return max((0, *(off for _, off in self.slots())))
 
     def text(self) -> str:
         def fmt(monomials):
@@ -593,7 +551,23 @@ BUILTIN_TEMPLATES: dict[str, PeriodicQuantityTemplate] = {
 }
 
 
-_TERM_RE = re.compile(r"([zyAB])\(q(?:\+(\d+))?\)(?:\^(-?\d+))?")
+_FACTOR = r"([zyAB])\(q(?:\+(\d+))?\)(?:\^(-?\d+))?"
+_TERM_RE = re.compile(rf"(?:(\d+)\*?)?((?:{_FACTOR}\*?)*)")
+
+
+def _split(s: str, sep: str) -> list[str]:
+    """s cut at each sep outside parentheses."""
+    depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in s)
+    cuts = [i for i, (ch, d) in enumerate(zip(s, depths)) if ch == sep and d == 0]
+    return [s[a + 1 : b] for a, b in zip([-1, *cuts], [*cuts, len(s)])]
+
+
+def _unwrap(s: str) -> str:
+    """s without the parentheses that enclose all of it."""
+    # they enclose s unless the first "(" closes before the last character
+    while s[:1] == "(" and s[-1:] == ")" and len(_split(s, ")")[0]) >= len(s) - 1:
+        s = s[1:-1]
+    return s
 
 
 def parse_template(text: str, claimed_period: int = 1, name: str = "custom") -> PeriodicQuantityTemplate:
@@ -603,84 +577,25 @@ def parse_template(text: str, claimed_period: int = 1, name: str = "custom") -> 
     an integer literal term is a constant monomial.
     """
     text = text.replace(" ", "")
-    if "/" not in text:
-        num_text, den_text = text, "1"
-    else:
-        depth = 0
-        split = None
-        for idx, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "/" and depth == 0:
-                split = idx
-                break
-        if split is None:
-            raise QuiverError(f"cannot split numerator/denominator in {text!r}")
-        num_text, den_text = text[:split], text[split + 1 :]
-
-    def strip_parens(s):
-        while s.startswith("(") and s.endswith(")"):
-            depth = 0
-            ok = True
-            for idx, ch in enumerate(s):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                    if depth == 0 and idx != len(s) - 1:
-                        ok = False
-                        break
-            if not ok:
-                break
-            s = s[1:-1]
-        return s
-
-    def split_terms(s):
-        terms = []
-        depth = 0
-        current = []
-        for ch in s:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "+" and depth == 0:
-                terms.append("".join(current))
-                current = []
-            else:
-                current.append(ch)
-        terms.append("".join(current))
-        return terms
+    num_text, *rest = _split(text, "/")
+    if not rest and "/" in text:
+        raise QuiverError(f"cannot split numerator/denominator in {text!r}")
+    den_text = "/".join(rest) if rest else "1"
 
     def parse_side(s) -> tuple[Monomial, ...]:
-        s = strip_parens(s)
         monomials = []
-        for term in split_terms(s):
-            term = strip_parens(term)
+        for term in _split(_unwrap(s), "+"):
+            term = _unwrap(term)
             if not term or term.endswith("*"):
                 raise QuiverError(f"empty term or factor in template {text!r}")
-            factors = []
-            coeff = 1
-            rest = term
-            m = re.match(r"^(\d+)\*?", rest)
-            if m and not rest.startswith(("z", "y", "A", "B")):
-                coeff = int(m.group(1))
-                rest = rest[m.end():]
-            pos = 0
-            while pos < len(rest):
-                m = _TERM_RE.match(rest, pos)
-                if not m:
-                    raise QuiverError(f"cannot parse template term {term!r}")
-                seq = {"A": "z", "B": "y"}.get(m.group(1), m.group(1))
-                off = int(m.group(2) or 0)
-                e = int(m.group(3) or 1)
-                factors.append((seq, off, e))
-                pos = m.end()
-                if pos < len(rest) and rest[pos] == "*":
-                    pos += 1
-            monomials.append(_mono(coeff, *factors))
+            m = _TERM_RE.fullmatch(term)
+            if not m:
+                raise QuiverError(f"cannot parse template term {term!r}")
+            factors = [
+                ({"A": "z", "B": "y"}.get(seq, seq), int(off or 0), int(e or 1))
+                for seq, off, e in re.findall(_FACTOR, m.group(2))
+            ]
+            monomials.append(_mono(int(m.group(1) or 1), *factors))
         return tuple(monomials)
 
     return PeriodicQuantityTemplate(name, parse_side(num_text), parse_side(den_text), claimed_period)
@@ -707,14 +622,9 @@ def verify_periodic(
     if min(horizon, period) < 1:
         raise QuiverError(f"horizon ({horizon}) and period ({period}) must be >= 1")
     need = horizon + period + template.max_offset()
+    used = {seq for seq, _ in template.slots()}
     for name in ("z", "y"):
-        used = any(
-            (seq == name)
-            for side in (template.num, template.den)
-            for _, factors in side
-            for (seq, _), _ in factors
-        )
-        if used and len(seqs[name]) < need:
+        if name in used and len(seqs[name]) < need:
             raise QuiverError(
                 f"trace too short: template needs {need} values of {name!r}, "
                 f"have {len(seqs[name])}"

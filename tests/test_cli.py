@@ -288,6 +288,32 @@ class TestTsysCommands:
         assert code == 1 and out == ""
         assert "step 4 of 40" in err and "200 bits" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_iterate_nonpositive_bit_budget_exit_2(self, budget, tmp_path, capsys):
+        spath = tmp_path / "sys.json"
+        spath.write_text(_n4_system())
+        ipath = tmp_path / "init.json"
+        ipath.write_text(_GOOD_INIT)
+        code, out, err = run_cli(
+            ["tsys", "iterate", "--system", str(spath), "--init", str(ipath), "--steps", "3",
+             "--bit-budget", budget],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: bit budget must be >= 1, got {budget}\n"
+
+    def test_iterate_names_a_float_window_value(self, tmp_path, capsys):
+        spath = tmp_path / "sys.json"
+        spath.write_text(_n4_system())
+        ipath = tmp_path / "init.json"
+        ipath.write_text(json.dumps({"z": ["1", 0.1, "1"], "y": ["1"]}))
+        code, out, err = run_cli(
+            ["tsys", "iterate", "--system", str(spath), "--init", str(ipath), "--steps", "3"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "bad rational 0.1 in z[1]" in err
+
     def test_iterate_negative_steps_exit_2(self, tmp_path, capsys):
         spath = tmp_path / "sys.json"
         spath.write_text(_n4_system())
@@ -324,12 +350,23 @@ MALFORMED = {
         ["orbit", "--seed", "BAD", "--shape", "1cycle", "--k", "2", "--steps", "2"],
         {"BAD": "{broken"},
     ),
+    "orbit-float-seed": (
+        ["orbit", "--seed", "BAD", "--shape", "1cycle", "--k", "2", "--steps", "2"],
+        {"BAD": json.dumps({"format": "quiverperiod/seed-v1", "n": 4, "b": _N4_TRACE["b"],
+                            "x": [0.1, "1", "1", "1"], "y": ["1"] * 4})},
+    ),
     "trace-json": (_VERIFY, {"BAD": "[1, 2]"}),
     "trace-no-shape": (
         _VERIFY, {"BAD": json.dumps({k: v for k, v in _N4_TRACE.items() if k != "shape"})}
     ),
     "trace-z-not-list": (_VERIFY, {"BAD": json.dumps({**_N4_TRACE, "z": 5})}),
     "init-not-list": (_ITERATE, {"SYS": _n4_system(), "INIT": json.dumps({"z": 5})}),
+    "init-float": (
+        _ITERATE, {"SYS": _n4_system(), "INIT": json.dumps({"z": [0.1, "1", "1"], "y": ["1"]})}
+    ),
+    "init-bool": (
+        _ITERATE, {"SYS": _n4_system(), "INIT": json.dumps({"z": [True, "1", "1"], "y": ["1"]})}
+    ),
     "system-bad-exponent": (_ITERATE, {"SYS": _n4_system(plus=[[1]]), "INIT": _GOOD_INIT}),
     "system-negative-offset": (
         _ITERATE, {"SYS": _n4_system(plus=[["z", -1, 1]]), "INIT": _GOOD_INIT}

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -16,7 +17,6 @@ from quiverperiod import (
     SystemSpec,
     check_TZ_condition,
     extract_system,
-    forward_points,
     g_exponent,
     h_exponent,
     initial_window_from_seed,
@@ -51,28 +51,22 @@ def tsys(key, **params):
 class TestForwardPoints:
     def test_one_cycle_lambdas(self):
         spec = Period2Spec(4, ONE_CYCLE, 2)
-        table = forward_points(spec, (0, 10))
-        i0 = table.points[0]
-        assert table.lambda_plus[(i0, 0)] == 3
-        assert table.lambda_minus[(i0, 0)] == 5
+        assert lambdas_at(spec, vertex_at(spec, 0), 0) == (3, 5)
 
     def test_two_cycle_lambdas_by_orbit(self):
         spec = Period2Spec(5, TWO_CYCLE, 3)
-        table = forward_points(spec, (0, 12))
-        for (i, u), lam in table.lambda_plus.items():
+        for u in range(13):
+            i = vertex_at(spec, u)
             expected = 4 if i in (1, 2) else 6
-            assert lam == expected
-            assert table.lambda_minus[(i, u)] == expected
+            assert lambdas_at(spec, i, u) == (expected, expected)
 
     def test_next_point_is_a_point(self):
         for spec in (Period2Spec(4, ONE_CYCLE, 2), Period2Spec(5, TWO_CYCLE, 3)):
-            table = forward_points(spec, (-6, 20))
-            for (i, u), lam in table.lambda_plus.items():
-                if u + lam <= 20:
-                    assert table.points[u + lam] == i
-            for (i, u), lam in table.lambda_minus.items():
-                if u - lam >= -6:
-                    assert table.points[u - lam] == i
+            for u in range(-6, 21):
+                i = vertex_at(spec, u)
+                plus, minus = lambdas_at(spec, i, u)
+                assert vertex_at(spec, u + plus) == i
+                assert vertex_at(spec, u - minus) == i
 
     def test_mutation_vertices_follow_inverse_relabeling(self):
         spec = Period2Spec(5, ONE_CYCLE, 2)
@@ -117,6 +111,11 @@ class TestExponents:
         B = ExchangeMatrix.zero(4)
         with pytest.raises(QuiverError):
             h_exponent(3, 0, 1, 0, spec, B, B)
+
+
+# sha256 of [(to_dict(), text())] of extract_system over every
+# regression_instances(2) entry, kinds T, Y and TZ in turn
+CLOSED_FORMS_DIGEST = "7cf6159c1e0f20ab1c0ef233e4e3bf00b3ba769e034ff473d9b9d2f731a164b4"
 
 
 class TestExtract:
@@ -179,6 +178,14 @@ class TestExtract:
             closed = extract_system(B, spec, kind)
             generic = tabulate_system(B, spec, kind)
             assert (closed.eq1, closed.eq2) == (generic.eq1, generic.eq2), str(fid)
+
+    def test_closed_forms_match_golden_digest(self):
+        rows = []
+        for _, spec, B in fm.regression_instances(2):
+            for kind in ("T", "Y", "TZ"):
+                sys = extract_system(B, spec, kind)
+                rows.append((sys.to_dict(), sys.text()))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == CLOSED_FORMS_DIGEST
 
     def test_round_trip_dict(self):
         sys, _ = tsys("n5-k2-5", p=2)
@@ -291,6 +298,14 @@ class TestIterate:
         sys, _ = tsys("n4-k2-1", n=1)
         with pytest.raises(ZeroDivisionError):
             iterate_system(sys, {"z": [1, 0, 1], "y": [1]}, 4)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_nonpositive_bit_budget_rejected_before_arithmetic(self, budget):
+        # the window divides by zero at the first step, so any arithmetic
+        # would raise ZeroDivisionError instead
+        sys, _ = tsys("n4-k2-1", n=1)
+        with pytest.raises(QuiverError, match=f"bit budget must be >= 1, got {budget}"):
+            iterate_system(sys, {"z": [0, 1, 1], "y": [1]}, 4, bit_budget=budget)
 
     def test_bit_budget_stops_after_first_oversized_step(self):
         sys, _ = tsys("n4-k2-1", n=2)
@@ -472,6 +487,32 @@ class TestSIntegerEngine:
         assert max(bits(seqs["z"][12]), bits(seqs["y"][10])) > DEFAULT_BIT_BUDGET
 
 
+TEMPLATE_CORPUS = (
+    # accepted: implicit products, coefficients, A/B aliases, outer parentheses,
+    # negative exponents, constants and spaces
+    "z(q)/y(q)", "y(q)/z(q+1)", "(z(q)+z(q+3))/y(q+1)", "(z(q)+1)/(y(q+2)*y(q))",
+    "y(q)^2*z(q+1)/y(q+4)", "z(q)y(q)", "z(q)y(q+1)^2/z(q+2)", "3*z(q)", "3z(q)",
+    "12*y(q+1)^-1", "A(q)/B(q+1)", "A(q)*B(q)+B(q+2)", "A(q)^-1*B(q+2)^2",
+    "((z(q)))/((y(q)))", "((z(q)+y(q)))/(((1)))", "(z(q))+(y(q))", "1", "2", "0",
+    "7/3", "1+1", "z(q)/0", "03*z(q+03)", "z(q+0)^00", "z(q)^0", "z(q)^-0",
+    "z(q)^-2*y(q)^3", "z(q)*y(q)*z(q)", " z(q) + y(q) / ( z(q+1) ) ", "z ( q + 1 )",
+    "3 z(q)",
+    # empty term or factor
+    "", "z(q)*", "z(q)+", "+z(q)", "/y(q)", "z(q)/", "3*", "z(q)**", "()", "(())",
+    "z(q)+()", "(z(q)+)/y(q)",
+    # cannot split numerator/denominator
+    "(z(q)/y(q))", "(z(q)/y(q)", "z(q))/y(q)",
+    # cannot parse a term
+    "(z(q)+y(q))+(z(q))", "(()", "(z(q)/y(q))/y(q)", "(z(q)+y(q))*z(q)",
+    "z(q)/y(q)/z(q)", "z(q)//y(q)", "z(q+1", "x(q)", "z(p)", "z(q+-1)", "z(q)^",
+    "z(q)**y(q)", "3**z(q)", "z(q)3", "3z(q)2", "y(q)^+2", "2*3", "()z(q)",
+    "(z(q))(y(q))", "z(q)+(y(q)+z(q+1))", "z(q))+y(q)", "\tz(q)", "Z(q)", "y(q)^2^3",
+    "z(q)*3", "*z(q)", "-z(q)",
+)
+# sha256 of [(text, (num, den) or error message)] over TEMPLATE_CORPUS
+TEMPLATE_DIGEST = "b255fc6a03ce0f4ff27e43312057ce9ce831c0f1b652ad579b1665e3b6eea089"
+
+
 class TestPeriodicQuantities:
     def test_builtin_s81_on_random_seeds(self):
         sys, _ = tsys("n4-k2-1", n=1)
@@ -505,6 +546,17 @@ class TestPeriodicQuantities:
     def test_parse_template_rejects_empty_terms(self, text):
         with pytest.raises(QuiverError, match="empty term"):
             parse_template(text)
+
+    def test_parse_template_matches_golden_digest(self):
+        def outcome(text):
+            try:
+                t = parse_template(text)
+            except QuiverError as exc:
+                return str(exc)
+            return t.num, t.den
+
+        flat = [(text, outcome(text)) for text in TEMPLATE_CORPUS]
+        assert hashlib.sha256(repr(flat).encode()).hexdigest() == TEMPLATE_DIGEST, flat
 
     def test_aperiodic_detected(self):
         tmpl = parse_template("z(q)", claimed_period=1)
