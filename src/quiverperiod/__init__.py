@@ -25,7 +25,6 @@ from .cluster import (
     Seed,
     laurent_check,
     mutate_seed,
-    relabel_seed,
     run_orbit,
 )
 from .families import (

@@ -17,7 +17,6 @@ from .cluster import OrbitTrace, run_orbit
 from .quiver import (
     ONE_CYCLE,
     TWO_CYCLE,
-    ExchangeMatrix,
     Period2Spec,
     QuiverError,
     is_connected,
@@ -59,28 +58,25 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, parse):
+    """parse applied to the text of path ('-' = stdin); a malformed file
+    names its path."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path) as fh:
-            return fh.read()
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc}")
-
-
-def _load_quiver(path: str) -> ExchangeMatrix:
     try:
-        return formats.quiver_from_json(_read_text(path))
-    except formats.FormatError as exc:
+        return parse(text)
+    except (ValueError, TypeError, AttributeError, KeyError, QuiverError) as exc:
         raise CliError(f"{path}: {exc}")
 
 
 def _spec_from_args(args, n: int) -> Period2Spec:
-    try:
-        return Period2Spec(n, _SHAPES[args.shape], args.k)
-    except QuiverError as exc:
-        raise CliError(str(exc))
+    return Period2Spec(n, _SHAPES[args.shape], args.k)
 
 
 def _default_jobs() -> int:
@@ -102,10 +98,8 @@ def _default_jobs() -> int:
 
 
 def cmd_mutate(args) -> int:
-    B = _load_quiver(args.quiver)
+    B = _load(args.quiver, formats.quiver_from_json)
     for v in args.at:
-        if not 1 <= v <= B.n:
-            raise CliError(f"vertex {v} out of range 1..{B.n}")
         B = mutate(B, v)
     if args.dot:
         try:
@@ -118,7 +112,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    B = _load_quiver(args.quiver)
+    B = _load(args.quiver, formats.quiver_from_json)
     notes = [] if is_connected(B) else ["disconnected"]
     if args.period1:
         ok = is_period1(B)
@@ -173,24 +167,8 @@ def _print_report(report: Report, fmt: str, header: dict, summary: str) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def _parse_window(path: str) -> dict[str, list]:
-    """A JSON object with 'z' and 'y' lists of rationals, read from path."""
-    try:
-        data = json.loads(_read_text(path))
-        if not isinstance(data, dict) or not all(
-            isinstance(data.get(name, []), list) for name in ("z", "y")
-        ):
-            raise ValueError("expected an object with 'z' and 'y' lists")
-        return {
-            name: [formats._parse_frac(v, f"{name}[{i}]") for i, v in enumerate(data.get(name, []))]
-            for name in ("z", "y")
-        }
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}")
-
-
 def cmd_tsys_extract(args) -> int:
-    B = _load_quiver(args.quiver)
+    B = _load(args.quiver, formats.quiver_from_json)
     spec = _spec_from_args(args, B.n)
     try:
         sys_spec = extract_system(B, spec, args.kind.upper())
@@ -204,12 +182,9 @@ def cmd_tsys_extract(args) -> int:
 
 
 def cmd_tsys_iterate(args) -> int:
-    try:
-        sys_spec = SystemSpec.from_dict(json.loads(_read_text(args.system)))
-    except (ValueError, TypeError, AttributeError, KeyError, QuiverError) as exc:
-        raise CliError(f"{args.system}: {exc}")
-    window = _parse_window(args.init)
-    Z = _parse_window(args.z) if args.z else None
+    sys_spec = _load(args.system, lambda text: SystemSpec.from_dict(json.loads(text)))
+    window = _load(args.init, formats.window_from_json)
+    Z = _load(args.z, formats.window_from_json) if args.z else None
     try:
         seqs = iterate_system(
             sys_spec, window, args.steps, Z=Z, bit_budget=args.bit_budget
@@ -230,7 +205,7 @@ def cmd_tsys_iterate(args) -> int:
 
 
 def cmd_tsys_verify_periodic(args) -> int:
-    trace = formats.trace_from_json(_read_text(args.trace))
+    trace = _load(args.trace, formats.trace_from_json)
     if args.template.startswith("builtin:"):
         name = args.template.split(":", 1)[1]
         if name not in BUILTIN_TEMPLATES:
@@ -285,7 +260,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    seed = formats.seed_from_json(_read_text(args.seed))
+    seed = _load(args.seed, formats.seed_from_json)
     spec = _spec_from_args(args, seed.B.n)
     if args.steps < 0:
         raise CliError("steps must be >= 0")

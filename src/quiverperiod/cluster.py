@@ -561,7 +561,8 @@ def _exchange(one, pairs, old):
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Seed mutation at vertex k: exchange relation for x_k, coefficient
-    update for every y, matrix mutation for B.
+    update for every y, matrix mutation for B.  This is the direct rule that
+    run_orbit is checked against; no orbit in this package calls it.
 
     In symbolic mode the exchange quotient must be a Laurent polynomial,
     which the Laurent phenomenon guarantees from an initial seed; otherwise
@@ -598,10 +599,6 @@ def _relabel(values: Sequence, s: Permutation) -> list:
     for i, v in enumerate(values, start=1):
         out[s(i) - 1] = v
     return out
-
-
-def relabel_seed(seed: Seed, s: Permutation) -> Seed:
-    return Seed(permute(seed.B, s), tuple(_relabel(seed.x, s)), tuple(_relabel(seed.y, s)))
 
 
 @dataclass
@@ -700,47 +697,30 @@ def run_orbit(
 
 @dataclass
 class LaurentReport:
-    """Per-mutation record of the new cluster values.  Every value is a
-    Laurent polynomial (a non-Laurent exchange raises NonLaurentError), so
+    """The new cluster value of each step of a symbolic orbit.  Every value is
+    a Laurent polynomial (a non-Laurent exchange raises NonLaurentError), so
     laurent is all True; integral flags integer coefficients."""
 
     depth: int
-    laurent: list[bool]
-    integral: list[bool]
     values: list
 
     @property
+    def laurent(self) -> list[bool]:
+        return [True] * len(self.values)
+
+    @property
+    def integral(self) -> list[bool]:
+        return [value.has_integer_coefficients() for value in self.values]
+
+    @property
     def all_laurent(self) -> bool:
-        return all(self.laurent) and all(self.integral)
+        return all(self.integral)
 
 
-def laurent_check(
-    B: ExchangeMatrix, spec: Period2Spec | None, depth: int
-) -> LaurentReport:
-    """Run a symbolic orbit and report Laurentness of every new variable.
-
-    With a period-2 spec the orbit schedule of run_orbit is used (1, then k,
-    then relabel by sigma); with spec=None the mutation schedule cycles
-    through the vertices 1, 2, ..., n, 1, ... (used for quivers with no
-    periodicity structure).
-    """
-    if spec is not None and not is_period2(B, spec):
-        raise QuiverError("seed matrix does not satisfy the period-2 equation")
-    sigma = spec.sigma() if spec is not None else None
-    state = Seed.initial(B)
-    values: list = []
-    for u in range(depth):
-        if spec is None:
-            v = u % B.n + 1
-        else:
-            v = 1 if u % 2 == 0 else spec.k
-        state = mutate_seed(state, v)
-        values.append(state.x[v - 1])
-        if spec is not None and u % 2 == 1:
-            state = relabel_seed(state, sigma)
-    return LaurentReport(
-        depth,
-        [True] * len(values),
-        [value.has_integer_coefficients() for value in values],
-        values,
-    )
+def laurent_check(B: ExchangeMatrix, spec: Period2Spec, depth: int) -> LaurentReport:
+    """Run the symbolic orbit of run_orbit from the initial seed of B and
+    report the new variable of every step: at vertex 1 after an even step,
+    at sigma(k) after an odd one (the relabeling by sigma ends it)."""
+    states = run_orbit(Seed.initial(B), spec, depth).states
+    odd = spec.sigma()(spec.k) - 1
+    return LaurentReport(depth, [s.x[odd if u % 2 else 0] for u, s in enumerate(states[1:])])

@@ -1,4 +1,5 @@
-"""Versioned file formats (quiver-v1, seed-v1, trace-v1) and DOT export."""
+"""Versioned file formats (quiver-v1, seed-v1, trace-v1), system windows
+and DOT export."""
 
 from __future__ import annotations
 
@@ -74,6 +75,18 @@ def _parse_frac(s, where: str) -> Fraction:
         return Fraction(s)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {s!r} in {where}: {exc}")
+
+
+def window_from_json(text: str) -> dict[str, list]:
+    """The 'z' and 'y' lists of rationals of a JSON object (an absent one is
+    empty): an initial window, or the multipliers of a TZ-system."""
+    data = _loads(text)
+    if not all(isinstance(data.get(name, []), list) for name in ("z", "y")):
+        raise FormatError("expected an object with 'z' and 'y' lists")
+    return {
+        name: [_parse_frac(v, f"{name}[{i}]") for i, v in enumerate(data.get(name, []))]
+        for name in ("z", "y")
+    }
 
 
 def seed_to_dict(seed: Seed) -> dict:

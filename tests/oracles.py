@@ -83,17 +83,21 @@ def residual_direct(B: ExchangeMatrix, spec: Period2Spec) -> list[int]:
     ]
 
 
+def relabel_direct(seed: Seed, sigma: Permutation) -> Seed:
+    """seed with vertex i renamed sigma(i): slot sigma(i) takes slot i."""
+    back = sigma.inverse()
+
+    def moved(values):
+        return tuple(values[back(i) - 1] for i in range(1, len(values) + 1))
+
+    return Seed(permute(seed.B, sigma), moved(seed.x), moved(seed.y))
+
+
 def coefficient_orbit_direct(seed: Seed, spec: Period2Spec, steps: int):
     """run_orbit's schedule as plain mutate_seed calls on the input values,
     so every y follows the direct rule y_j (1 + y_k)^w, with the relabeling by
     sigma done by hand.  Returns the z/y/A/B sequences and the seed before
     each step and after the last."""
-    n, sigma = spec.n, spec.sigma()
-    back = sigma.inverse()
-
-    def moved(values):
-        return tuple(values[back(i) - 1] for i in range(1, n + 1))
-
     seq = {"z": [], "y": [], "A": [], "B": []}
     states = [seed]
     for u in range(steps):
@@ -102,9 +106,23 @@ def coefficient_orbit_direct(seed: Seed, spec: Period2Spec, steps: int):
         seq["A" if u % 2 == 0 else "B"].append(seed.y[v - 1])
         seed = mutate_seed(seed, v)
         if u % 2:
-            seed = Seed(permute(seed.B, sigma), moved(seed.x), moved(seed.y))
+            seed = relabel_direct(seed, spec.sigma())
         states.append(seed)
     return seq, states
+
+
+def laurent_values_direct(B: ExchangeMatrix, spec: Period2Spec, depth: int) -> list:
+    """laurent_check's values by mutate_seed from the initial seed of B: at 1,
+    then at k, then relabel by sigma, reading x_v right after each mutation at
+    v, before any relabeling."""
+    seed, values = Seed.initial(B), []
+    for u in range(depth):
+        v = 1 if u % 2 == 0 else spec.k
+        seed = mutate_seed(seed, v)
+        values.append(seed.x[v - 1])
+        if u % 2:
+            seed = relabel_direct(seed, spec.sigma())
+    return values
 
 
 def somos4_direct(C, exponent: int, initial, steps: int):

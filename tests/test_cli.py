@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MARKOV_JSON = json.dumps(
     {"format": "quiverperiod/quiver-v1", "n": 3, "b": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}
 )
+A2 = ExchangeMatrix.from_rows([[0, 1], [-1, 0]])
 
 
 def run_cli(args, capsys):
@@ -51,9 +52,11 @@ class TestMutateCommand:
         assert code == 2
         assert "line 1" in err
 
-    def test_vertex_out_of_range_exit_2(self, markov_file, capsys):
-        code, _, err = run_cli(["mutate", "--quiver", markov_file, "--at", "9"], capsys)
-        assert code == 2
+    def test_vertex_out_of_range_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "a2.json"
+        path.write_text(quiver_to_json(A2))
+        code, out, err = run_cli(["mutate", "--quiver", str(path), "--at", "3"], capsys)
+        assert (code, out, err) == (2, "", "error: vertex 3 out of range 1..2\n")
 
     def test_dot_output(self, markov_file, tmp_path, capsys):
         dot = tmp_path / "out.dot"
@@ -85,6 +88,14 @@ class TestCheckCommand:
         )
         assert code == 0
         assert "period-2" in out
+
+    def test_k_out_of_range_message(self, tmp_path, capsys):
+        path = tmp_path / "a2.json"
+        path.write_text(quiver_to_json(A2))
+        code, out, err = run_cli(
+            ["check", "--quiver", str(path), "--shape", "1cycle", "--k", "5"], capsys
+        )
+        assert (code, out, err) == (2, "", "error: k=5 out of range for n=2\n")
 
     def test_zero_quiver_periodic_but_disconnected(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
@@ -341,10 +352,12 @@ _N4_TRACE = {
     "z": ["1", "1", "1"], "y": ["1"],
 }
 _VERIFY = ["tsys", "verify-periodic", "--trace", "BAD", "--template", "builtin:s81"]
-_ITERATE = ["tsys", "iterate", "--system", "SYS", "--init", "INIT", "--steps", "2"]
+_BAD_INIT = ["tsys", "iterate", "--system", "SYS", "--init", "BAD", "--steps", "2"]
+_BAD_SYSTEM = ["tsys", "iterate", "--system", "BAD", "--init", "INIT", "--steps", "2"]
 _GOOD_INIT = json.dumps({"z": ["1", "1", "1"], "y": ["1"]})
 
-# case: (command line, {file placeholder in the command line: file contents})
+# case: (command line, {file placeholder in the command line: file contents});
+# BAD is the malformed file
 MALFORMED = {
     "orbit-seed": (
         ["orbit", "--seed", "BAD", "--shape", "1cycle", "--k", "2", "--steps", "2"],
@@ -360,30 +373,33 @@ MALFORMED = {
         _VERIFY, {"BAD": json.dumps({k: v for k, v in _N4_TRACE.items() if k != "shape"})}
     ),
     "trace-z-not-list": (_VERIFY, {"BAD": json.dumps({**_N4_TRACE, "z": 5})}),
-    "init-not-list": (_ITERATE, {"SYS": _n4_system(), "INIT": json.dumps({"z": 5})}),
+    "init-not-list": (_BAD_INIT, {"SYS": _n4_system(), "BAD": json.dumps({"z": 5})}),
     "init-float": (
-        _ITERATE, {"SYS": _n4_system(), "INIT": json.dumps({"z": [0.1, "1", "1"], "y": ["1"]})}
+        _BAD_INIT, {"SYS": _n4_system(), "BAD": json.dumps({"z": [0.1, "1", "1"], "y": ["1"]})}
     ),
     "init-bool": (
-        _ITERATE, {"SYS": _n4_system(), "INIT": json.dumps({"z": [True, "1", "1"], "y": ["1"]})}
+        _BAD_INIT, {"SYS": _n4_system(), "BAD": json.dumps({"z": [True, "1", "1"], "y": ["1"]})}
     ),
-    "system-bad-exponent": (_ITERATE, {"SYS": _n4_system(plus=[[1]]), "INIT": _GOOD_INIT}),
+    "system-bad-exponent": (_BAD_SYSTEM, {"BAD": _n4_system(plus=[[1]]), "INIT": _GOOD_INIT}),
     "system-negative-offset": (
-        _ITERATE, {"SYS": _n4_system(plus=[["z", -1, 1]]), "INIT": _GOOD_INIT}
+        _BAD_SYSTEM, {"BAD": _n4_system(plus=[["z", -1, 1]]), "INIT": _GOOD_INIT}
     ),
     "system-reads-ahead": (
-        _ITERATE, {"SYS": _n4_system(plus=[["z", 9, 1]]), "INIT": _GOOD_INIT}
+        _BAD_SYSTEM, {"BAD": _n4_system(plus=[["z", 9, 1]]), "INIT": _GOOD_INIT}
     ),
-    "system-one-slot-lhs": (_ITERATE, {"SYS": _n4_system(lhs=[["z", 0]]), "INIT": _GOOD_INIT}),
+    "system-one-slot-lhs": (_BAD_SYSTEM, {"BAD": _n4_system(lhs=[["z", 0]]), "INIT": _GOOD_INIT}),
     "system-fractional-exponent": (
-        _ITERATE, {"SYS": _n4_system(plus=[["y", 0, 1.5], ["z", 1, 1]]), "INIT": _GOOD_INIT}
+        _BAD_SYSTEM, {"BAD": _n4_system(plus=[["y", 0, 1.5], ["z", 1, 1]]), "INIT": _GOOD_INIT}
     ),
     "system-bool-offset": (
-        _ITERATE, {"SYS": _n4_system(plus=[["y", False, 1], ["z", 1, 1]]), "INIT": _GOOD_INIT}
+        _BAD_SYSTEM, {"BAD": _n4_system(plus=[["y", False, 1], ["z", 1, 1]]), "INIT": _GOOD_INIT}
     ),
-    "system-unknown-kind": (_ITERATE, {"SYS": _n4_system({"kind": "Q"}), "INIT": _GOOD_INIT}),
-    "system-n-mismatch": (_ITERATE, {"SYS": _n4_system({"n": 5}), "INIT": _GOOD_INIT}),
+    "system-unknown-kind": (_BAD_SYSTEM, {"BAD": _n4_system({"kind": "Q"}), "INIT": _GOOD_INIT}),
+    "system-n-mismatch": (_BAD_SYSTEM, {"BAD": _n4_system({"n": 5}), "INIT": _GOOD_INIT}),
 }
+
+# the file parses; iterate_system rejects the system it describes
+CHECKED_AFTER_READING = {"system-reads-ahead"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -394,7 +410,10 @@ def test_malformed_input_file_exit_2(case, tmp_path, capsys):
     argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
-    assert err.startswith("error: ")
+    if case in CHECKED_AFTER_READING:
+        assert err.startswith("error: ")
+    else:
+        assert err.startswith(f"error: {tmp_path / 'BAD'}: ")
 
 
 _LONG_TRACE = json.dumps({**_N4_TRACE, "z": ["1"] * 8, "y": ["1"] * 8})

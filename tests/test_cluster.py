@@ -23,7 +23,7 @@ from quiverperiod import (
 )
 import quiverperiod.families as fm
 from quiverperiod.cluster import _SBase
-from oracles import coefficient_orbit_direct
+from oracles import coefficient_orbit_direct, laurent_values_direct
 
 MARKOV = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 
@@ -472,11 +472,17 @@ class TestLaurentCheck:
         rep = laurent_check(B, Period2Spec(4, ONE_CYCLE, 2), 6)
         assert rep.all_laurent
 
-    def test_single_vertex(self):
-        rep = laurent_check(ExchangeMatrix.zero(1), None, 2)
-        assert rep.all_laurent
-        # x'' = x for the one-vertex quiver
-        assert rep.values[1] == LaurentPoly.variable(1, 1)
+    def test_values_match_direct_oracle(self):
+        def typed(values):  # coefficient types too: 1 and Fraction(1) differ
+            return [{e: (type(c), c) for e, c in v.terms.items()} for v in values]
+
+        for fid, spec, B in fm.regression_instances(1):
+            rep = laurent_check(B, spec, 6)
+            assert typed(rep.values) == typed(laurent_values_direct(B, spec, 6)), fid
+
+    def test_negative_depth_raises(self):
+        with pytest.raises(QuiverError, match="steps must be >= 0"):
+            laurent_check(MARKOV, Period2Spec(3, ONE_CYCLE, 2), -1)
 
     def test_non_laurent_exchange_raises(self):
         # a seed whose x_1 is a sum makes the exchange quotient (1+x2)/(x1+x2),
