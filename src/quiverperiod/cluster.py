@@ -232,13 +232,9 @@ class LaurentPoly:
     def eval(self, values: Sequence[Fraction]) -> Fraction:
         if len(values) != self.nvars:
             raise QuiverError("value count mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = Fraction(c)
-            for v, p in zip(values, e):
-                term *= Fraction(v) ** p
-            total += term
-        return total
+        terms = self.terms.items()
+        one = Fraction(1)
+        return sum((c * _quotient(*_monomials(one, zip(values, e))) for e, c in terms), Fraction(0))
 
     def __str__(self):
         if not self._terms:
@@ -545,6 +541,16 @@ def _monomials(one, pairs):
     return m_in, m_out
 
 
+def _coefficient(one, pairs):
+    """The direct coefficient rule over a list of (value, exponent) pairs: the
+    product of (1 + v) ** w over w > 0 divided by the product of
+    (1 + 1/v) ** -w over w < 0."""
+    if any(w < 0 and v == 0 for v, w in pairs):
+        raise ZeroDivisionError("zero value in Y-system denominator")
+    m_in, m_out = _monomials(one, [(1 + v if w > 0 else 1 + 1 / v, w) for v, w in pairs if w])
+    return m_in / m_out
+
+
 def _exchange(one, pairs, old):
     """The exchange relation: (m_in + m_out) / old for the monomials of pairs.
     A Laurent-polynomial quotient must be exact (NonLaurentError otherwise)."""
@@ -573,24 +579,16 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     if not 1 <= k <= n:
         raise QuiverError(f"vertex {k} out of range 1..{n}")
     x = list(seed.x)
-    y = list(seed.y)
+    col = [row[k - 1] for row in B.rows]
     one = LaurentPoly.one(n) if seed.symbolic else Fraction(1)
-    x[k - 1] = _exchange(one, zip(x, (row[k - 1] for row in B.rows)), x[k - 1])
+    x[k - 1] = _exchange(one, zip(x, col), x[k - 1])
 
-    yk = Fraction(y[k - 1])
-    new_y = []
-    for j in range(1, n + 1):
-        if j == k:
-            new_y.append(1 / yk)
-            continue
-        w = B.b(j, k)
-        if w == 0:
-            new_y.append(y[j - 1])
-        elif w > 0:
-            new_y.append(Fraction(y[j - 1]) * (1 + yk) ** w)
-        else:
-            new_y.append(Fraction(y[j - 1]) * (1 + 1 / yk) ** w)
-    return Seed(mutate(B, k), tuple(x), tuple(new_y))
+    yk, one_y = Fraction(seed.y[k - 1]), Fraction(1)
+    # a slot with b_jk = 0 keeps its value object: perfbench's tracer tells
+    # the touched slots by identity
+    y = [Fraction(v) * _coefficient(one_y, [(yk, w)]) if w else v for v, w in zip(seed.y, col)]
+    y[k - 1] = 1 / yk
+    return Seed(mutate(B, k), tuple(x), tuple(y))
 
 
 def _relabel(values: Sequence, s: Permutation) -> list:

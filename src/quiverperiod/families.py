@@ -345,7 +345,7 @@ def verify_theorem(
         if theorem == "N3":
             # the other 3-vertex equation admits only disconnected solutions
             other = Period2Spec(3, TWO_CYCLE, 2)
-            got = set(search(SearchJob(other, search_bound, connected_only=True)))
+            got = set(search(SearchJob(other, search_bound, connected_only=True, jobs=jobs)))
             report.add(
                 f"search n=3 {TWO_CYCLE} k=2 bound={search_bound} finds nothing connected",
                 not got,

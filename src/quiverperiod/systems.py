@@ -14,14 +14,20 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .cluster import OrbitTrace, Seed, _lift_all, _plain, run_orbit
+from .cluster import (
+    OrbitTrace,
+    _coefficient,
+    _lift_all,
+    _monomials,
+    _plain,
+    _quotient,
+)
 from .quiver import (
     ONE_CYCLE,
     TWO_CYCLE,
@@ -117,6 +123,10 @@ class EquationSpec:
     lhs: tuple[Slot, Slot]
     plus: dict[Slot, int] = field(hash=False, default_factory=dict)
     minus: dict[Slot, int] = field(hash=False, default_factory=dict)
+
+    def factors(self) -> list[tuple[Slot, int]]:
+        """(slot, exponent) pairs: plus as it is, then minus negated."""
+        return [*self.plus.items(), *((slot, -e) for slot, e in self.minus.items())]
 
 
 @dataclass(frozen=True)
@@ -354,38 +364,9 @@ def _check_slots(sys: SystemSpec, need: dict[str, int]) -> None:
                 )
 
 
-def _power_product(
-    seqs: dict[str, Sequence], factors: Iterable[tuple[Slot, int]], q: int
-) -> Fraction:
-    """prod seqs[seq][q + off] ** e over the (slot, exponent) pairs; exponents
-    may be negative."""
-    out = Fraction(1)
-    for (seq, off), e in factors:
-        v = seqs[seq][q + off]
-        out = out * v ** e if e >= 0 else out / v ** -e
-    return out
-
-
-def _signed(eq: EquationSpec) -> dict[Slot, int]:
-    """The exponents of the monomial ratio plus/minus of a T-kind equation."""
-    nets = dict(eq.plus)
-    for slot, e in eq.minus.items():
-        nets[slot] = nets.get(slot, 0) - e
-    return nets
-
-
-def _y_rhs(seqs: dict[str, Sequence], eq: EquationSpec, q: int) -> Fraction:
-    """prod (1 + v)^e over eq.plus divided by prod (1 + 1/v)^e over eq.minus."""
-    num = Fraction(1)
-    for (seq, off), e in eq.plus.items():
-        num *= (1 + seqs[seq][q + off]) ** e
-    den = Fraction(1)
-    for (seq, off), e in eq.minus.items():
-        v = seqs[seq][q + off]
-        if v == 0:
-            raise ZeroDivisionError("zero value in Y-system denominator")
-        den *= (1 + 1 / v) ** e
-    return num / den
+def _at(seqs: dict[str, Sequence], factors: Iterable[tuple[Slot, int]], q: int) -> list:
+    """The (value, exponent) pairs of the factors read at step q."""
+    return [(seqs[seq][q + off], e) for (seq, off), e in factors]
 
 
 # bits allowed to a numerator or denominator by callers that bound an
@@ -435,15 +416,11 @@ def iterate_system(
                 raise QuiverError(f"Z[{name!r}] must provide at least {steps} values")
     elif Z is not None:
         raise QuiverError("Z sequences are only accepted for TZ-kind systems")
+    one = Fraction(1)
     if sys.kind == "T":
-        seqs = dict(zip(seqs, _lift_all(*seqs.values())))
-
-    def rhs(eq: EquationSpec, q: int) -> Fraction:
-        if sys.kind in ("T", "TZ"):
-            return _power_product(seqs, eq.plus.items(), q) + _power_product(
-                seqs, eq.minus.items(), q
-            )
-        return _y_rhs(seqs, eq, q)
+        *lifted, (one,) = _lift_all(*seqs.values(), [one])
+        seqs = dict(zip(seqs, lifted))
+    factors = [eq.factors() for eq in sys.equations()]
 
     def bits(v: Fraction) -> int:
         return max(v.numerator.bit_length(), v.denominator.bit_length())
@@ -456,7 +433,12 @@ def iterate_system(
                 raise ZeroDivisionError(
                     f"zero divisor at q={q} (non-generic initial data)"
                 )
-            val = rhs(eq, q)
+            pairs = _at(seqs, factors[idx], q)
+            if sys.kind == "Y":
+                val = _coefficient(one, pairs)
+            else:
+                m_in, m_out = _monomials(one, pairs)
+                val = m_in + m_out
             if sys.kind == "TZ":
                 val *= Fraction(Z["z" if idx == 0 else "y"][q])
             val /= divisor
@@ -485,7 +467,8 @@ class PeriodicQuantityTemplate:
     def eval_at(self, seqs: dict[str, Sequence], q: int) -> Fraction:
         def side(monomials):
             return sum(
-                (c * _power_product(seqs, factors, q) for c, factors in monomials), Fraction(0)
+                (c * _quotient(*_monomials(1, _at(seqs, factors, q))) for c, factors in monomials),
+                Fraction(0),
             )
 
         den = side(self.den)
@@ -603,11 +586,8 @@ def parse_template(text: str, claimed_period: int = 1, name: str = "custom") -> 
 
 @dataclass
 class PeriodicReport:
-    template: PeriodicQuantityTemplate
-    horizon: int
     ok: bool
     first_failure: int | None = None
-    values: list = field(default_factory=list)
 
 
 def verify_periodic(
@@ -631,7 +611,7 @@ def verify_periodic(
             )
     values = [template.eval_at(seqs, q) for q in range(horizon + period)]
     first_failure = next((q for q in range(horizon) if values[q + period] != values[q]), None)
-    return PeriodicReport(template, horizon, first_failure is None, first_failure, values)
+    return PeriodicReport(first_failure is None, first_failure)
 
 
 # template_search screens candidates modulo this prime; nothing is reported on
@@ -705,7 +685,7 @@ def template_search(
         }
     screen = [
         [
-            norm(c * math.prod(red[s][q + off] ** e for (s, off), e in factors))
+            norm(c * _monomials(1, _at(red, factors, q))[0])
             for q in range(usable)
         ]
         for c, factors in monomials
@@ -745,7 +725,7 @@ def template_search(
     @functools.cache
     def exact(i: int) -> list:
         c, factors = monomials[i]
-        return [c * _power_product(seqs, factors, q) for q in range(usable)]
+        return [c * _quotient(*_monomials(1, _at(seqs, factors, q))) for q in range(usable)]
 
     found = []
     for ni, nj, di in sorted(periods):
@@ -775,10 +755,10 @@ def tz_condition_holds(sys: SystemSpec, Z: dict[str, Sequence], steps: int) -> b
     """The multiplicative constraint: for each equation and every q, the
     product of Z over its slots with exponents (plus - minus) equals 1."""
     for eq in sys.equations():
-        nets = _signed(eq).items()
-        max_off = max((off for (_, off), _e in nets), default=0)
+        factors = eq.factors()
+        max_off = max((off for (_, off), _e in factors), default=0)
         for q in range(steps - max_off):
-            if _power_product(Z, nets, q) != 1:
+            if _quotient(*_monomials(1, _at(Z, factors, q))) != 1:
                 return False
     return True
 
@@ -809,8 +789,8 @@ def check_TZ_condition(
     seqs = iterate_system(tz, initial, run, Z=Z)
 
     def bar_sequence(eq: EquationSpec, count: int) -> list[Fraction]:
-        nets = _signed(eq).items()
-        return [_power_product(seqs, nets, q) for q in range(count)]
+        factors = eq.factors()
+        return [_quotient(*_monomials(1, _at(seqs, factors, q))) for q in range(count)]
 
     count = steps + sys.spec.n + 1
     bars = {"z": bar_sequence(tz.eq1, count), "y": bar_sequence(tz.eq2, count)}
@@ -818,8 +798,10 @@ def check_TZ_condition(
     solves = True
     for eq in ysys.equations():
         (s0, o0), (s1, o1) = eq.lhs
+        factors = eq.factors()
         for q in range(steps):
-            if bars[s0][q + o0] * bars[s1][q + o1] != _y_rhs(bars, eq, q):
+            rhs = _coefficient(Fraction(1), _at(bars, factors, q))
+            if bars[s0][q + o0] * bars[s1][q + o1] != rhs:
                 solves = False
                 break
         if not solves:

@@ -6,6 +6,7 @@ oracle is a plain loop over all candidate matrices, and the template search
 oracle divides out every numerator/denominator pair with Fractions.
 """
 
+from fractions import Fraction
 from itertools import product
 
 from quiverperiod import (
@@ -21,7 +22,7 @@ from quiverperiod import (
     permute,
     verify_periodic,
 )
-from quiverperiod.systems import _mono, _power_product
+from quiverperiod.systems import _mono
 
 
 def arrow_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -127,8 +128,6 @@ def laurent_values_direct(B: ExchangeMatrix, spec: Period2Spec, depth: int) -> l
 
 def somos4_direct(C, exponent: int, initial, steps: int):
     """z(q+4) z(q) = z(q+1) z(q+3) + C z(q+2)^e, evaluated directly."""
-    from fractions import Fraction
-
     z = [Fraction(v) for v in initial]
     for q in range(steps):
         z.append((z[q + 1] * z[q + 3] + Fraction(C) * z[q + 2] ** exponent) / z[q])
@@ -138,8 +137,6 @@ def somos4_direct(C, exponent: int, initial, steps: int):
 def t_iterate_direct(sys, window, steps: int, Z=None):
     """A T- (or TZ-) system iterated on plain Fractions: at each step q, eq1
     then eq2 sets lhs[1] = Z(q) * (plus monomial + minus monomial) / lhs[0]."""
-    from fractions import Fraction
-
     seqs = {name: [Fraction(v) for v in window.get(name, ())] for name in ("z", "y")}
 
     def monomial(table, q):
@@ -189,7 +186,13 @@ def template_search_direct(
 
     def values_of(mono, count: int):
         coeff, factors = mono
-        return [coeff * _power_product(seqs, factors, q) for q in range(count)]
+        out = []
+        for q in range(count):
+            value = Fraction(coeff)
+            for (seq, off), e in factors:
+                value *= Fraction(seqs[seq][q + off]) ** e
+            out.append(value)
+        return out
 
     mono_vals = [values_of(m, usable) for m in monomials]
     found = []

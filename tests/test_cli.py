@@ -337,6 +337,22 @@ class TestTsysCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "steps" in err
 
+    def test_iterate_y_system_zero_in_minus_slot_exit_1(self, tmp_path, capsys):
+        # eq1: A(q)*B(q+1) = 1 / (1+B(q)^-1)*(1+A(q+1)^-1), and A(1) is 0
+        family = fm.FAMILY_BY_KEY["n3-k2-1"]
+        ysys = extract_system(family.matrix(n=1), family.spec, "Y")
+        assert ysys.eq1.minus == {("y", 0): 1, ("z", 1): 1}
+        spath = tmp_path / "sys.json"
+        spath.write_text(json.dumps(ysys.to_dict()))
+        ipath = tmp_path / "init.json"
+        ipath.write_text(json.dumps({"z": ["1", "0"], "y": ["1"]}))
+        code, out, err = run_cli(
+            ["tsys", "iterate", "--system", str(spath), "--init", str(ipath), "--steps", "3"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: zero value in Y-system denominator\n"
+
 
 def _n4_system(top=(), **eq1_changes):
     family = fm.FAMILY_BY_KEY["n4-k2-1"]

@@ -260,6 +260,12 @@ class TestSeedMutation:
         B = ExchangeMatrix.from_rows([[0, 1], [-1, 0]])
         s = Seed(B, (F(1), F(1)), (F(2), F(3)))
         assert mutate_seed(s, 1).y == (F(1, 2), F(2))
+        # a slot with b_jk = 0 keeps its value object, as perfbench's tracer
+        # assumes when it tells the touched slots by identity
+        B = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+        s = Seed(B, (F(1),) * 3, (F(2), F(3), 10**30))
+        y = mutate_seed(s, 1).y
+        assert y[:2] == (F(1, 2), F(2)) and y[2] is s.y[2]
 
     def test_zero_cluster_value(self):
         B = ExchangeMatrix.from_rows([[0, 1], [-1, 0]])

@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+
 import pytest
 
 from quiverperiod import (
@@ -13,6 +16,9 @@ from quiverperiod import (
     verify_theorem,
 )
 import quiverperiod.families as fm
+
+# the package's `search` attribute is the function, not the module
+search_mod = importlib.import_module("quiverperiod.search")
 
 
 def test_every_instance_is_period2():
@@ -81,6 +87,22 @@ def test_negation_closure_is_solution_set():
 def test_verify_theorem_n3():
     report = verify_theorem("N3", 3, search_bound=3)
     assert report.ok, [r.label for r in report.rows if not r.ok]
+
+
+def test_verify_theorem_passes_jobs_to_every_search(monkeypatch):
+    # N3 runs one search per family spec and one for the 2-cycle equation
+    seen = []
+    real = search_mod.search
+
+    def recording(job):
+        seen.append(job.jobs)
+        return real(dataclasses.replace(job, jobs=1))
+
+    monkeypatch.setattr(search_mod, "search", recording)
+    report = verify_theorem("N3", 1, search_bound=1, jobs=2)
+    assert len(seen) == 2 and set(seen) == {2}
+    monkeypatch.undo()
+    assert report.rows == verify_theorem("N3", 1, search_bound=1).rows
 
 
 def test_verify_theorem_n4_with_search():

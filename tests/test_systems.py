@@ -713,3 +713,21 @@ class TestTZ:
         }
         seqs = iterate_system(tz, init := {"z": [F(1)] * 3, "y": [F(1)]}, 15, Z=Z)
         assert not verify_periodic(seqs, BUILTIN_TEMPLATES["s81"], 10).ok
+
+    def test_slot_in_plus_and_minus(self):
+        # a hand-written system-v1 file with y(q) in both monomials of eq1:
+        #   z(q)*y(q+1) = z(q+1)*y(q) + y(q),  y(q)*z(q+3) = z(q+2) + z(q+1)
+        data = tsys("n4-k2-1", n=1)[0].to_dict()
+        data["eq1"]["plus"] = [["y", 0, 1], ["z", 1, 1]]
+        data["eq1"]["minus"] = [["y", 0, 1]]
+        data["eq2"]["plus"] = [["z", 2, 1]]
+        data["eq2"]["minus"] = [["z", 1, 1]]
+        sys = SystemSpec.from_dict(data)
+        window = {"z": [F(2), F(3), F(1, 2)], "y": [F(3, 4)]}
+        assert iterate_system(sys, window, 6) == t_iterate_direct(sys, window, 6)
+        # y(q) has equal plus and minus exponents in eq1 and appears nowhere
+        # else, so the Z-product condition never depends on Z["y"]
+        for Zz, holds in (([F(1)] * 12, True), ([F(1)] * 5 + [F(2)] * 7, False)):
+            for Zy in ([F(1)] * 12, [F(1), F(3), F(1, 5)] * 4):
+                Z = {"z": Zz, "y": Zy}
+                assert systems_mod.tz_condition_holds(sys, Z, 12) is holds
