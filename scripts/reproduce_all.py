@@ -17,6 +17,11 @@ def main() -> int:
     parser.add_argument("--dynamics-seeds", type=int, default=3)
     parser.add_argument("--horizon", type=int, default=30)
     args = parser.parse_args()
+    for name, value, low in (("horizon", args.horizon, 1),
+                             ("dynamics seeds", args.dynamics_seeds, 0)):
+        if value < low:
+            print(f"error: {name} must be >= {low}, got {value}", file=sys.stderr)
+            return 2
 
     rng = random.Random(args.seed)
 

@@ -29,10 +29,13 @@ def main() -> int:
             for n in range(3, args.max_n + 1)
             for spec in specs_for(n)
         ]
+        out = sys.stdout if args.out == "-" else open(args.out, "w")
     except QuiverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = sys.stdout if args.out == "-" else open(args.out, "w")
+    except OSError as exc:
+        print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
+        return 2
     total = 0
     for job in jobs:
         spec = job.spec

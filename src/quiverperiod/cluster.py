@@ -21,12 +21,10 @@ from typing import Sequence
 from .quiver import (
     ExchangeMatrix,
     Period2Spec,
-    Permutation,
     QuiverError,
     is_period2,
     _mutate_row,
     mutate,
-    permute,
 )
 
 
@@ -591,22 +589,14 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     return Seed(mutate(B, k), tuple(x), tuple(y))
 
 
-def _relabel(values: Sequence, s: Permutation) -> list:
-    """values moved to the relabeled vertices: slot s(i) takes values[i]."""
-    out = [None] * len(values)
-    for i, v in enumerate(values, start=1):
-        out[s(i) - 1] = v
-    return out
-
-
 @dataclass
 class OrbitTrace:
     """Mutation-orbit record with the slot sequences of the induced systems.
 
     seq holds z(q), y(q) (cluster values replaced at steps 2q and 2q+1) and
     A(q), B(q) (the matching coefficient values).  states[u] is the seed just
-    before step u, in coordinates relabeled so the next even mutation is at
-    vertex 1; accessors translate back to fixed vertex labels.
+    before step u in the quiver's own vertex labels: states[u].B is B(u) and
+    states[u].x[i - 1] is x_i(u).
     """
 
     spec: Period2Spec
@@ -614,17 +604,6 @@ class OrbitTrace:
     steps: int
     seq: dict[str, list] = field(default_factory=dict)
     states: list[Seed] | None = None
-
-    def _translate(self, i: int, u: int) -> int:
-        r = u // 2
-        return (self.spec.sigma() ** r)(i)
-
-    def x_at(self, i: int, u: int):
-        return self.states[u].x[self._translate(i, u) - 1]
-
-    def b_at(self, u: int) -> ExchangeMatrix:
-        r = u // 2
-        return permute(self.states[u].B, self.spec.sigma() ** (-r))
 
 
 def _quotient(num, den) -> Fraction:
@@ -643,11 +622,11 @@ def run_orbit(
     steps: int,
     keep_states: bool = True,
 ) -> OrbitTrace:
-    """Alternate mutations at (the images of) vertices 1 and k.
+    """Mutate along the periodic orbit, at spec.vertex_at(u) at step u.
 
-    The schedule mutates at 1, then at k, then relabels by sigma and repeats,
-    which tracks the mutation points of the periodic orbit; the recorded z/y
-    (and A/B) sequences are the values replaced at each step.
+    Vertices keep their labels throughout (nothing is relabeled by sigma), so
+    the mutation points are nu^r(1) and nu^r(k) at steps 2r and 2r+1; the
+    recorded z/y (and A/B) sequences are the values replaced at each step.
 
     Coefficients follow the separation formula y_j = prod y0_i ** c_ij *
     prod F_i ** b_ij (Fomin-Zelevinsky, Cluster algebras IV, Props. 3.13 and
@@ -659,7 +638,7 @@ def run_orbit(
         raise QuiverError("steps must be >= 0")
     if not is_period2(s0.B, spec):
         raise QuiverError("seed matrix does not satisfy the period-2 equation")
-    sigma, n, k = spec.sigma(), spec.n, spec.k
+    n = spec.n
     seq: dict[str, list] = {"z": [], "y": [], "A": [], "B": []}
     states = [s0] if keep_states else None
     numeric = all(isinstance(v, (int, Fraction)) for v in s0.x)
@@ -675,7 +654,7 @@ def run_orbit(
         return ys[j]
 
     for u in range(steps):
-        k0 = 0 if u % 2 == 0 else k - 1
+        k0 = spec.vertex_at(u) - 1
         seq["zy"[u % 2]].append(x[k0])  # z and A at even steps, y and B at odd
         seq["AB"[u % 2]].append(y_at(k0))
         col = [row[k0] for row in B.rows]
@@ -684,9 +663,6 @@ def run_orbit(
         ys = [None if w or j == k0 else v for j, (v, w) in enumerate(zip(ys, col))]
         C = [_mutate_row(r, B.rows[k0], k0) for r in C]
         B = mutate(B, k0 + 1)
-        if u % 2:
-            x, F, ys, *C = (_relabel(v, sigma) for v in (x, F, ys, *C))
-            B = permute(B, sigma)
         if keep_states:
             states.append(Seed(B, tuple(map(_plain, x)), tuple(map(y_at, range(n)))))
     seq["z"], seq["y"] = (list(map(_plain, seq[name])) for name in "zy")
@@ -717,8 +693,6 @@ class LaurentReport:
 
 def laurent_check(B: ExchangeMatrix, spec: Period2Spec, depth: int) -> LaurentReport:
     """Run the symbolic orbit of run_orbit from the initial seed of B and
-    report the new variable of every step: at vertex 1 after an even step,
-    at sigma(k) after an odd one (the relabeling by sigma ends it)."""
+    report the new variable of every step, the one at spec.vertex_at(u)."""
     states = run_orbit(Seed.initial(B), spec, depth).states
-    odd = spec.sigma()(spec.k) - 1
-    return LaurentReport(depth, [s.x[odd if u % 2 else 0] for u, s in enumerate(states[1:])])
+    return LaurentReport(depth, [s.x[spec.vertex_at(u) - 1] for u, s in enumerate(states[1:])])

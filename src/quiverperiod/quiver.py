@@ -177,6 +177,12 @@ class Period2Spec:
             orbit.append(i)
         return tuple(orbit)
 
+    def vertex_at(self, u: int) -> int:
+        """The vertex mutated at time u: nu^r(1) for u = 2r, nu^r(k) for u = 2r+1."""
+        r, l = divmod(u, 2)
+        orbit = self.nu_orbit(1 if l == 0 else self.k)
+        return orbit[r % len(orbit)]
+
     def in_canonical_range(self) -> bool:
         if self.shape == ONE_CYCLE:
             return 2 <= self.k <= (self.n + 1) // 2
@@ -293,30 +299,20 @@ def period1_from_row(row: Sequence[int]) -> ExchangeMatrix:
 def mu1_partner(
     B: ExchangeMatrix, spec: Period2Spec
 ) -> tuple[ExchangeMatrix, Period2Spec]:
-    """Mutate at 1 and relabel so the companion solves its own period-2 equation.
+    """Mutate at 1 and relabel so the companion solves its own period-2 equation,
+    the one with k' = spec.partner_k().
 
-    For the one-cycle shape the relabeling is the inverse of i -> i+k-1 (mod n)
-    and the companion equation has k' = n-k+1; for the two-cycle shape a second
-    relabeling inside the cycle (n-k+2,...,n) moves the mutation vertex to
-    n-k+2, giving k' = n-k+2.
+    The relabeling is the inverse of i -> i+k-1 (mod n); for the two-cycle
+    shape a second relabeling, the cycle (k',...,n), moves the mutation vertex
+    to k'.
     """
     if not is_period2(B, spec):
         raise QuiverError("input does not satisfy its period-2 equation")
-    n, k = spec.n, spec.k
-    Bp = mutate(B, 1)
-    shift_inv = Permutation(n, tuple((i - (k - 1) - 1) % n + 1 for i in range(1, n + 1)))
-    if spec.shape == ONE_CYCLE:
-        B2 = permute(Bp, shift_inv)
-        spec2 = Period2Spec(n, ONE_CYCLE, n - k + 1)
-    else:
-        kp = n - k + 2
-        image = list(range(1, n + 1))
-        for i in range(kp, n):
-            image[i - 1] = i + 1
-        image[n - 1] = kp
-        second_cycle = Permutation(n, tuple(image))
-        B2 = permute(permute(Bp, shift_inv), second_cycle)
-        spec2 = Period2Spec(n, TWO_CYCLE, kp)
+    n, kp = spec.n, spec.partner_k()
+    B2 = permute(mutate(B, 1), Permutation.rotation(n) ** (1 - spec.k))
+    if spec.shape == TWO_CYCLE:
+        B2 = permute(B2, Permutation.from_cycles(n, [list(range(kp, n + 1))]))
+    spec2 = Period2Spec(n, spec.shape, kp)
     if not is_period2(B2, spec2):
         raise QuiverError("internal error: companion fails its period-2 equation")
     return B2, spec2

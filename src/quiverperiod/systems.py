@@ -42,15 +42,8 @@ Slot = tuple[str, int]
 
 
 # ---------------------------------------------------------------------------
-# forward mutation points
+# forward mutation points (Period2Spec.vertex_at names the vertex of each time)
 # ---------------------------------------------------------------------------
-
-
-def vertex_at(spec: Period2Spec, u: int) -> int:
-    """The vertex mutated at time u: nu^r(1) for u = 2r, nu^r(k) for u = 2r+1."""
-    r, l = divmod(u, 2)
-    orbit = spec.nu_orbit(1 if l == 0 else spec.k)
-    return orbit[r % len(orbit)]
 
 
 def lambdas_at(spec: Period2Spec, i: int, u: int) -> tuple[int, int]:
@@ -81,7 +74,7 @@ def h_exponent(
     Nonzero only when u lies strictly inside (v - lambda_minus(j, v), v); the
     value is the positive (resp. negative) part of b[j][i] at time u.
     """
-    if vertex_at(spec, v) != j or vertex_at(spec, u) != i:
+    if spec.vertex_at(v) != j or spec.vertex_at(u) != i:
         raise QuiverError("not forward mutation points")
     _, lam_minus = lambdas_at(spec, j, v)
     if not v - lam_minus < u < v:
@@ -96,7 +89,7 @@ def g_exponent(
 ) -> tuple[int, int]:
     """(G+, G-): nonzero when v lies inside (u, u + lambda_plus(i, u)), with
     the sign bracket taken on -b[j][i] at time v."""
-    if vertex_at(spec, v) != j or vertex_at(spec, u) != i:
+    if spec.vertex_at(v) != j or spec.vertex_at(u) != i:
         raise QuiverError("not forward mutation points")
     lam_plus, _ = lambdas_at(spec, i, u)
     if not u < v < u + lam_plus:
@@ -250,9 +243,9 @@ def extract_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSpe
     Equation idx (0 or 1) has slots p of sequence l (0 for z, 1 for y) from
     1 (z) or idx (y) up to a last offset set by kind and shape.  With the
     anchors (B(0), 1) and (B(1), k), a T-kind slot carries b[v][a] of the
-    anchor of equation idx at v = vertex_at(spec, 2p + l), the vertex mutated
+    anchor of equation idx at v = spec.vertex_at(2p + l), the vertex mutated
     at the slot's time; a Y-kind slot carries -b[a][v] of the anchor of
-    sequence l at v = vertex_at(spec, idx - 2p).  Positive values go to plus,
+    sequence l at v = spec.vertex_at(idx - 2p).  Positive values go to plus,
     negative ones to minus.
     """
     kind, B1 = _checked(B, spec, kind)
@@ -274,10 +267,10 @@ def extract_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSpe
             for p in range(1 if l == 0 else idx, last[idx][l] + 1):
                 if kind == "Y":
                     mat, a = anchors[l]
-                    b = -mat.b(a, vertex_at(spec, idx - 2 * p))
+                    b = -mat.b(a, spec.vertex_at(idx - 2 * p))
                 else:
                     mat, a = anchors[idx]
-                    b = mat.b(vertex_at(spec, 2 * p + l), a)
+                    b = mat.b(spec.vertex_at(2 * p + l), a)
                 if b > 0:
                     plus[seq, p] = b
                 elif b < 0:
@@ -300,14 +293,14 @@ def tabulate_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSp
     expo = h_exponent if kind in ("T", "TZ") else g_exponent
 
     def build(u: int) -> EquationSpec:
-        i = vertex_at(spec, u)
+        i = spec.vertex_at(u)
         lam_plus, _ = lambdas_at(spec, i, u)
         plus: dict[Slot, int] = {}
         minus: dict[Slot, int] = {}
         for v in range(u - 4 * n, u + 4 * n + 1):
             if v == u:
                 continue
-            j = vertex_at(spec, v)
+            j = spec.vertex_at(v)
             hp, hm = expo(j, v, i, u, spec, B, B1)
             slot = _slot(v)
             if hp:
@@ -339,7 +332,7 @@ def initial_window_from_seed(sys: SystemSpec, x0: Sequence) -> dict[str, list]:
     times 2q and 2q+1."""
     need = required_window(sys)
     return {
-        seq: [Fraction(x0[vertex_at(sys.spec, 2 * q + l) - 1]) for q in range(need.get(seq, 0))]
+        seq: [Fraction(x0[sys.spec.vertex_at(2 * q + l) - 1]) for q in range(need.get(seq, 0))]
         for l, seq in enumerate(("z", "y"))
     }
 
@@ -482,24 +475,6 @@ class PeriodicQuantityTemplate:
 
     def max_offset(self) -> int:
         return max((0, *(off for _, off in self.slots())))
-
-    def text(self) -> str:
-        def fmt(monomials):
-            parts = []
-            for coeff, factors in monomials:
-                bits = []
-                for (seq, off), e in factors:
-                    name = f"{seq}(q+{off})" if off else f"{seq}(q)"
-                    bits.append(name + (f"^{e}" if e != 1 else ""))
-                if not bits:
-                    parts.append(str(coeff))
-                elif coeff == 1:
-                    parts.append("*".join(bits))
-                else:
-                    parts.append(f"{coeff}*" + "*".join(bits))
-            return " + ".join(parts)
-
-        return f"({fmt(self.num)}) / ({fmt(self.den)})"
 
 
 def _mono(coeff: int, *factors: tuple[str, int, int]) -> Monomial:
@@ -775,7 +750,8 @@ def check_TZ_condition(
     iterating the TZ system, forming the plus/minus monomial ratio for each
     equation, and plugging the result into the extracted Y-system for `steps`
     values of q.  The two verdicts must agree (they do, by construction of the
-    systems); disagreement raises.
+    systems); disagreement raises.  The iteration runs under
+    DEFAULT_BIT_BUDGET; a value past it raises QuiverError.
     """
     if sys.kind not in ("T", "TZ"):
         raise QuiverError("check_TZ_condition needs a T- or TZ-kind system")
@@ -786,7 +762,12 @@ def check_TZ_condition(
     # random Z breaks the exchange cancellations, so value sizes blow up
     # quickly: keep the iterated window as tight as the checks allow
     run = steps + 2 * sys.spec.n + 2
-    seqs = iterate_system(tz, initial, run, Z=Z)
+    seqs = iterate_system(tz, initial, run, Z=Z, bit_budget=DEFAULT_BIT_BUDGET)
+    if (reached := len(seqs["z"]) - need["z"]) < run:
+        raise QuiverError(
+            f"stopped after step {reached} of {run}: a value exceeds the "
+            f"bit budget of {DEFAULT_BIT_BUDGET} bits"
+        )
 
     def bar_sequence(eq: EquationSpec, count: int) -> list[Fraction]:
         factors = eq.factors()

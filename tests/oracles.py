@@ -95,10 +95,11 @@ def relabel_direct(seed: Seed, sigma: Permutation) -> Seed:
 
 
 def coefficient_orbit_direct(seed: Seed, spec: Period2Spec, steps: int):
-    """run_orbit's schedule as plain mutate_seed calls on the input values,
-    so every y follows the direct rule y_j (1 + y_k)^w, with the relabeling by
-    sigma done by hand.  Returns the z/y/A/B sequences and the seed before
-    each step and after the last."""
+    """run_orbit's orbit as plain mutate_seed calls on the input values, so
+    every y follows the direct rule y_j (1 + y_k)^w.  The schedule is encoded
+    independently of Period2Spec.vertex_at: mutate at 1, then at k, then
+    relabel by sigma.  Returns the z/y/A/B sequences and the seed before each
+    step and after the last; the seed of step u is relabeled by sigma^(u // 2)."""
     seq = {"z": [], "y": [], "A": [], "B": []}
     states = [seed]
     for u in range(steps):
@@ -113,9 +114,10 @@ def coefficient_orbit_direct(seed: Seed, spec: Period2Spec, steps: int):
 
 
 def laurent_values_direct(B: ExchangeMatrix, spec: Period2Spec, depth: int) -> list:
-    """laurent_check's values by mutate_seed from the initial seed of B: at 1,
-    then at k, then relabel by sigma, reading x_v right after each mutation at
-    v, before any relabeling."""
+    """laurent_check's values by mutate_seed from the initial seed of B, on a
+    schedule encoded independently of Period2Spec.vertex_at: at 1, then at k,
+    then relabel by sigma, reading x_v right after each mutation at v, before
+    any relabeling."""
     seed, values = Seed.initial(B), []
     for u in range(depth):
         v = 1 if u % 2 == 0 else spec.k

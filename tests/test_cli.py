@@ -574,6 +574,37 @@ def test_search_script_rejects_jobs_zero(tmp_path):
     assert not out.exists()
 
 
+def test_search_script_unwritable_out_exit_2(tmp_path):
+    out = tmp_path / "missing" / "hits.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "search_quivers.py"),
+         "--max-n", "3", "--bound", "1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write {str(out)!r}")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--horizon", "-1", "error: horizon must be >= 1, got -1\n"),
+    ("--horizon", "0", "error: horizon must be >= 1, got 0\n"),
+    ("--dynamics-seeds", "-1", "error: dynamics seeds must be >= 0, got -1\n"),
+])
+def test_reproduce_script_rejects_bad_bounds_before_any_section(flag, value, message):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_all.py"), flag, value],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == message
+    assert proc.stdout == ""
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "quiverperiod.cli", "--help"],

@@ -23,7 +23,7 @@ from quiverperiod import (
 )
 import quiverperiod.families as fm
 from quiverperiod.cluster import _SBase
-from oracles import coefficient_orbit_direct, laurent_values_direct
+from oracles import coefficient_orbit_direct, laurent_values_direct, relabel_direct
 
 MARKOV = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 
@@ -335,19 +335,27 @@ class TestSIntegers:
         # values never replaced keep the type they came in with; a y no
         # mutation has touched (j != k, b_jk = 0 so far) is still its input
         B = fm.FAMILY_BY_KEY["n4-k2-1"].matrix(n=1)
+        spec = Period2Spec(4, ONE_CYCLE, 2)
         x0 = (1, F(2, 3), -3, F(5))
         y0 = (2, F(1, 3), 5, 7)
-        tr = run_orbit(Seed(B, x0, y0), Period2Spec(4, ONE_CYCLE, 2), 6)
+        tr = run_orbit(Seed(B, x0, y0), spec, 6)
+
+        def fixed(per_state):
+            # the type lists of each state u with its slots relabeled by
+            # sigma^(u // 2), moved back to the quiver's own labels
+            return [[types[(spec.sigma() ** (u // 2))(i) - 1] for i in range(1, 5)]
+                    for u, types in enumerate(per_state)]
+
         assert [type(v) for v in tr.seq["z"]] == [int, F, int]
         assert [type(v) for v in tr.seq["y"]] == [F, F, F]
-        assert [[type(v) for v in s.x] for s in tr.states[:5]] == [
+        assert [[type(v) for v in s.x] for s in tr.states[:5]] == fixed([
             [int, F, int, F], [F, F, int, F], [F, F, F, int], [F, F, F, int], [int, F, F, F]
-        ]
+        ])
         assert [type(v) for v in tr.seq["A"]] == [int, F, F]
         assert [type(v) for v in tr.seq["B"]] == [F, F, F]
-        assert [[type(v) for v in s.y] for s in tr.states[:3]] == [
+        assert [[type(v) for v in s.y] for s in tr.states[:3]] == fixed([
             [int, F, int, int], [F, F, int, F], [F, F, F, F]
-        ]
+        ])
         assert tr.states[1].y[2] is y0[2]
 
 
@@ -364,7 +372,9 @@ def mixed_values(rng, n):
 
 class TestCoefficientRoute:
     """run_orbit's separation-formula coefficients against mutate_seed's
-    direct rule, value and type, on every weight <= 3 regression instance."""
+    direct rule, value and type, on every weight <= 3 regression instance.
+    The oracle relabels by sigma after each odd step; its states are moved
+    back to the quiver's own labels before they are compared."""
 
     STEPS = 12
 
@@ -399,8 +409,9 @@ class TestCoefficientRoute:
                 for name in "zyAB":
                     assert typed(lean.seq[name]) == typed(want[name]), (fid, name)
                     assert typed(full.seq[name]) == typed(want[name]), (fid, name)
+                nu = spec.nu()
                 assert [typed(s.y) for s in full.states] == [
-                    typed(s.y) for s in want_states
+                    typed(relabel_direct(s, nu ** (u // 2)).y) for u, s in enumerate(want_states)
                 ], fid
 
 
@@ -439,7 +450,7 @@ class TestRunOrbit:
         tr = run_orbit(Seed.ones(B), spec, 10)
         nu = spec.nu()
         for u in range(8):
-            assert permute(tr.b_at(u), nu) == tr.b_at(u + 2)
+            assert permute(tr.states[u].B, nu) == tr.states[u + 2].B
 
     def test_exchange_relation_conservation(self):
         # x_w(u) x_w(u+1) equals the exchange products recomputed from B(u)
@@ -456,16 +467,30 @@ class TestRunOrbit:
         for u in range(16):
             r = u // 2
             w = (nu ** r)(1) if u % 2 == 0 else (nu ** r)(spec.k)
-            Bu = tr.b_at(u)
+            Bu, x = tr.states[u].B, tr.states[u].x
             m_in = F(1)
             m_out = F(1)
             for i in range(1, 6):
                 wgt = Bu.b(i, w)
                 if wgt > 0:
-                    m_in *= tr.x_at(i, u) ** wgt
+                    m_in *= x[i - 1] ** wgt
                 elif wgt < 0:
-                    m_out *= tr.x_at(i, u) ** (-wgt)
-            assert tr.x_at(w, u) * tr.x_at(w, u + 1) == m_in + m_out
+                    m_out *= x[i - 1] ** (-wgt)
+            assert x[w - 1] * tr.states[u + 1].x[w - 1] == m_in + m_out
+
+
+    def test_recorded_values_sit_at_the_mutation_points(self):
+        # the z/y (A/B) value of step u is the x (y) of states[u] at the
+        # vertex spec.vertex_at(u), on every regression instance
+        rng = random.Random(71)
+        for fid, spec, B in fm.regression_instances(1):
+            s = Seed(B, *(tuple(rand_positive(rng) for _ in range(B.n)) for _ in "xy"))
+            tr = run_orbit(s, spec, 6)
+            for u in range(6):
+                q, odd = divmod(u, 2)
+                v = spec.vertex_at(u) - 1
+                assert tr.seq["zy"[odd]][q] == tr.states[u].x[v], (fid, u)
+                assert tr.seq["AB"[odd]][q] == tr.states[u].y[v], (fid, u)
 
 
 class TestLaurentCheck:

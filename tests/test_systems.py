@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -32,7 +33,7 @@ import quiverperiod.families as fm
 import quiverperiod.systems as systems_mod
 from quiverperiod.formats import _frac_str
 from quiverperiod.reductions import TAME_PARAM
-from quiverperiod.systems import DEFAULT_BIT_BUDGET, lambdas_at, vertex_at
+from quiverperiod.systems import DEFAULT_BIT_BUDGET, lambdas_at
 
 from oracles import (
     permutation_power_direct,
@@ -51,26 +52,26 @@ def tsys(key, **params):
 class TestForwardPoints:
     def test_one_cycle_lambdas(self):
         spec = Period2Spec(4, ONE_CYCLE, 2)
-        assert lambdas_at(spec, vertex_at(spec, 0), 0) == (3, 5)
+        assert lambdas_at(spec, spec.vertex_at(0), 0) == (3, 5)
 
     def test_two_cycle_lambdas_by_orbit(self):
         spec = Period2Spec(5, TWO_CYCLE, 3)
         for u in range(13):
-            i = vertex_at(spec, u)
+            i = spec.vertex_at(u)
             expected = 4 if i in (1, 2) else 6
             assert lambdas_at(spec, i, u) == (expected, expected)
 
     def test_next_point_is_a_point(self):
         for spec in (Period2Spec(4, ONE_CYCLE, 2), Period2Spec(5, TWO_CYCLE, 3)):
             for u in range(-6, 21):
-                i = vertex_at(spec, u)
+                i = spec.vertex_at(u)
                 plus, minus = lambdas_at(spec, i, u)
-                assert vertex_at(spec, u + plus) == i
-                assert vertex_at(spec, u - minus) == i
+                assert spec.vertex_at(u + plus) == i
+                assert spec.vertex_at(u - minus) == i
 
     def test_mutation_vertices_follow_inverse_relabeling(self):
         spec = Period2Spec(5, ONE_CYCLE, 2)
-        assert [vertex_at(spec, u) for u in range(6)] == [1, 2, 5, 1, 4, 5]
+        assert [spec.vertex_at(u) for u in range(6)] == [1, 2, 5, 1, 4, 5]
 
     def test_vertex_at_matches_powers_of_nu(self):
         # every spec with n <= 8, negative times included (tabulate_system
@@ -83,7 +84,7 @@ class TestForwardPoints:
                     for u in range(-8 * n, 8 * n + 1):
                         r, l = divmod(u, 2)
                         want = permutation_power_direct(nu, r)(1 if l == 0 else k)
-                        assert vertex_at(spec, u) == want, (spec, u)
+                        assert spec.vertex_at(u) == want, (spec, u)
 
 
 class TestExponents:
@@ -92,7 +93,7 @@ class TestExponents:
         B0 = ExchangeMatrix.zero(4)
         B1 = ExchangeMatrix.zero(4)
         for v in range(1, 8):
-            j = vertex_at(spec, v)
+            j = spec.vertex_at(v)
             assert h_exponent(j, v, 1, 0, spec, B0, B1) == (0, 0)
             assert g_exponent(j, v, 1, 0, spec, B0, B1) == (0, 0)
 
@@ -103,7 +104,7 @@ class TestExponents:
 
         B1 = mutate(B, 1)
         # points outside (v - lambda_minus, v) contribute nothing
-        j = vertex_at(spec, 9)
+        j = spec.vertex_at(9)
         assert h_exponent(j, 9, 1, 0, spec, B, B1) == (0, 0)
 
     def test_not_a_point(self):
@@ -691,6 +692,19 @@ class TestTZ:
             "y": [F(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(40)],
         }
         assert not check_TZ_condition(Zbad, sys, steps=10)
+
+    def test_check_stops_at_bit_budget(self):
+        # Z drawn from {1, 2} breaks the exchange cancellations: unbounded,
+        # step 13 alone would take half a minute past a million bits
+        _, spec, B = next(inst for inst in fm.regression_instances(1)
+                          if str(inst[0]) == "N4#3(l=1,m=1,n=1,p=1)")
+        rng = random.Random(1)
+        Z = {s: [F(rng.choice([1, 2])) for _ in range(40)] for s in "zy"}
+        start = time.monotonic()
+        with pytest.raises(QuiverError, match=rf"stopped after step \d+ of 13: a value "
+                           rf"exceeds the bit budget of {DEFAULT_BIT_BUDGET} bits"):
+            check_TZ_condition(Z, extract_system(B, spec, "T"), steps=3)
+        assert time.monotonic() - start < 5
 
     def test_constrained_z_preserves_periodicity(self):
         # the constraint ties the eq2 multiplier to the eq1 multiplier
