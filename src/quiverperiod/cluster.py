@@ -15,7 +15,7 @@ import heapq
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from typing import Sequence
 
 from .quiver import (
@@ -363,9 +363,20 @@ def _exact_div(p_terms: dict, d_terms: dict, nvars: int, zero: int):
     return quo
 
 
-# trial division below 2**16 factors every entry below 2**32 completely, in at
-# most 2**16 steps; a larger entry keeps its unfactored rest as one element
+# trial division by the 6,542 primes below 2**16 factors every entry below
+# 2**32 completely; a larger entry keeps its unfactored rest as one element.
+# Only an entry that outlasts the primes below 2**8 needs the larger table.
 _TRIAL = 1 << 16
+_PRIMES: dict[int, tuple[int, ...]] = {}  # the primes below each key, sieved on first use
+
+
+def _primes(hi: int) -> tuple[int, ...]:
+    if hi not in _PRIMES:
+        sieve = bytearray([1]) * hi
+        for p in range(2, isqrt(hi - 1) + 1):
+            sieve[p * p :: p] = bytes(len(range(p * p, hi, p)))
+        _PRIMES[hi] = tuple(p for p in range(2, hi) if sieve[p])
+    return _PRIMES[hi]
 
 
 class _SBase:
@@ -376,11 +387,10 @@ class _SBase:
     def __init__(self, values):
         found = set()
         for x in (abs(p) for v in values for p in (v.numerator, v.denominator)):
-            d = 2
-            while d < _TRIAL and d * d <= x:
-                if x % d:
-                    d += 1
-                else:
+            for d in (d for hi in (1 << 8, _TRIAL) for d in _primes(hi)):
+                if d * d > x:
+                    break
+                while not x % d:
                     x //= d
                     found.add(d)
             if x > 1:
@@ -402,6 +412,45 @@ class _SBase:
             if gcd(r, b) != 1:
                 return None
         return n, exps
+
+
+_DIV_LIMIT = 4000  # bits of divisor or quotient below which divmod is faster
+
+
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) for a >= 0, b > 0; once divisor and quotient pass _DIV_LIMIT
+    bits (CPython 3.11's divmod is O(q*d)), Burnikel and Ziegler's "Fast Recursive
+    Division" (MPI-I-98-1-022, 1998), fed the dividend in divisor-sized chunks."""
+    n = b.bit_length()
+    if n <= _DIV_LIMIT or a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    mask, q, r = (1 << n) - 1, 0, 0
+    for i in reversed(range((a.bit_length() + n - 1) // n)):
+        qi, r = _div2n1n(r << n | (a >> i * n) & mask, b, n)
+        q = q << n | qi
+    return q, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b * 2**n."""
+    if a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    pad = n & 1
+    a, b, h = a << pad, b << pad, (n + pad) >> 1
+    mask = (1 << h) - 1
+    q1, r = _div3n2n(a >> 2 * h, (a >> h) & mask, b, b >> h, b & mask, h)
+    q2, r = _div3n2n(r, a & mask, b, b >> h, b & mask, h)
+    return q1 << h | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, int]:
+    """divmod(a12 * 2**h + a3, b) for b = b1 * 2**h + b2 of 2h bits, a12 < b
+    and a3 < 2**h: the quotient of the top halves, corrected at most twice."""
+    q, r = ((1 << h) - 1, a12 - (b1 << h) + b1) if a12 >> h == b1 else _div2n1n(a12, b1, h)
+    r = (r << h | a3) - q * b2
+    while r < 0:
+        q, r = q - 1, r + b
+    return q, r
 
 
 @numbers.Rational.register
@@ -454,8 +503,9 @@ class _SInt:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is not None and o.n:
-            q, r = divmod(self.n, o.n)
+            q, r = _divmod(abs(self.n), abs(o.n))
             if not r:
+                q = q if (self.n < 0) == (o.n < 0) else -q
                 return _SInt(self.base, q, [a - b for a, b in zip(self.exps, o.exps)])
         return Fraction(self) / _plain(other)
 

@@ -8,6 +8,7 @@ oracle divides out every numerator/denominator pair with Fractions.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from quiverperiod import (
     ExchangeMatrix,
@@ -92,6 +93,23 @@ def relabel_direct(seed: Seed, sigma: Permutation) -> Seed:
         return tuple(values[back(i) - 1] for i in range(1, len(values) + 1))
 
     return Seed(permute(seed.B, sigma), moved(seed.x), moved(seed.y))
+
+
+def s_base_direct(values) -> list[int]:
+    """cluster._SBase's elements by trial division with every d below 2**16,
+    primes and composites alike, then the pairwise-coprime filter."""
+    found = set()
+    for x in (abs(p) for v in values for p in (v.numerator, v.denominator)):
+        d = 2
+        while d < 1 << 16 and d * d <= x:
+            if x % d:
+                d += 1
+            else:
+                x //= d
+                found.add(d)
+        if x > 1:
+            found.add(x)
+    return sorted(b for b in found if all(gcd(b, c) == 1 for c in found - {b}))
 
 
 def coefficient_orbit_direct(seed: Seed, spec: Period2Spec, steps: int):

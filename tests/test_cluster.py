@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +21,15 @@ from quiverperiod import (
     permute,
     run_orbit,
 )
+import quiverperiod.cluster as cluster
 import quiverperiod.families as fm
-from quiverperiod.cluster import _SBase
-from oracles import coefficient_orbit_direct, laurent_values_direct, relabel_direct
+from quiverperiod.cluster import _DIV_LIMIT, _PRIMES, _SBase, _SInt, _div3n2n, _divmod
+from oracles import (
+    coefficient_orbit_direct,
+    laurent_values_direct,
+    relabel_direct,
+    s_base_direct,
+)
 
 MARKOV = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 
@@ -331,6 +337,27 @@ class TestSIntegers:
         total = lone.lift(F(1)) + lone.lift(F(65536))
         assert type(total) is F and total == 65537
 
+    def test_prime_table_matches_every_divisor(self):
+        # factors on both sides of 2**8 and 2**16, repeated, with cofactors
+        # above 2**16 left whole or shared between entries
+        rng = random.Random(83)
+        factors = [2, 3, 7, 251, 257, 65521, 65537, 65539, 1000003]
+        for _ in range(60):
+            values = [
+                F(rng.choice((-1, 1)) * prod(rng.choices(factors, k=rng.randint(0, 4))),
+                  prod(rng.choices(factors, k=rng.randint(0, 2))) * rng.randint(1, 99))
+                for _ in range(rng.randint(1, 4))
+            ]
+            assert _SBase(values).elems == s_base_direct(values), values
+
+    def test_large_prime_table_sieved_on_first_need(self):
+        # entries whose factors all lie below 2**8 read the small table only
+        _PRIMES.clear()
+        assert _SBase([F(6 * 7 * 11, 13), F(255 * 255)]).elems == [2, 3, 5, 7, 11, 13, 17]
+        assert list(_PRIMES) == [1 << 8]
+        assert _SBase([F(65537 * 65539)]).elems == [65537 * 65539]
+        assert list(_PRIMES) == [1 << 8, 1 << 16] and len(_PRIMES[1 << 16]) == 6542
+
     def test_run_orbit_keeps_input_types(self):
         # values never replaced keep the type they came in with; a y no
         # mutation has touched (j != k, b_jk = 0 so far) is still its input
@@ -357,6 +384,93 @@ class TestSIntegers:
             [int, F, int, int], [F, F, int, F], [F, F, F, F]
         ])
         assert tr.states[1].y[2] is y0[2]
+
+
+def _bits(data, label):
+    # below, straddling and 3-10x the recursion limit
+    return data.draw(st.one_of(
+        st.integers(1, _DIV_LIMIT - 1),
+        st.integers(_DIV_LIMIT - 40, _DIV_LIMIT + 40),
+        st.integers(3 * _DIV_LIMIT, 10 * _DIV_LIMIT),
+    ), label=label)
+
+
+class TestDivmod:
+    """cluster._divmod (Burnikel-Ziegler above _DIV_LIMIT) against divmod."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_builtin(self, data):
+        rng = data.draw(st.randoms(use_true_random=False))
+        # odd and even divisor lengths: an odd one is padded by a bit
+        n = max(1, _bits(data, "divisor bits") // 2 * 2 + data.draw(st.integers(0, 1)))
+        b = rng.getrandbits(n) | 1 << (n - 1)
+        # q = 0 is a dividend below the divisor
+        q = rng.getrandbits(_bits(data, "quotient bits")) if data.draw(st.booleans()) else 0
+        r = data.draw(st.sampled_from([0, b - 1, rng.randrange(b)]), label="remainder")
+        assert _divmod(q * b + r, b) == divmod(q * b + r, b) == (q, r)
+
+    @pytest.mark.parametrize("n", [3 * _DIV_LIMIT, 3 * _DIV_LIMIT + 1, 10 * _DIV_LIMIT + 1])
+    def test_recursion_keeps_its_preconditions(self, n, monkeypatch):
+        # every 2n-by-n step gets a divisor of exactly n bits and a dividend
+        # below b * 2**n: odd lengths are padded, and a top half equal to b1
+        # (the all-ones quotient of (b << n) - 1) is estimated, not recursed on
+        rng = random.Random(n)
+        b = rng.getrandbits(n) | 1 << (n - 1)
+        div2n1n = cluster._div2n1n
+
+        def spy(a, b, n):
+            assert b.bit_length() == n and 0 <= a < b << n
+            return div2n1n(a, b, n)
+
+        monkeypatch.setattr(cluster, "_div2n1n", spy)
+        for a in ((b << n) - 1, rng.getrandbits(3 * n)):
+            assert _divmod(a, b) == divmod(a, b)
+
+    def test_quotient_much_longer_than_divisor(self):
+        # the shape of s81's largest exchange: 847k bits over 57k
+        rng = random.Random(61)
+        b = rng.getrandbits(57_000) | 1 << 56_999
+        a = rng.getrandbits(847_000)
+        q, r = divmod(a, b)
+        assert _divmod(a, b) == (q, r)
+        assert _divmod(a - r, b) == (q, 0)
+
+    def test_estimate_corrected_twice(self, monkeypatch):
+        # b1 = 2**(h-1) is the smallest top half and b2 the largest bottom
+        # half, so the quotient of the top halves overshoots by 2
+        h = 5000
+        b1, b2 = 1 << (h - 1), (1 << h) - 1
+        b, a12 = b1 << h | b2, b1 * b2
+        q, r = _div3n2n(a12, 0, b, b1, b2, h)
+        assert (q, r) == divmod(a12 << h, b) and a12 // b1 - q == 2
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _div3n2n(*args)
+
+        monkeypatch.setattr(cluster, "_div3n2n", spy)
+        assert _divmod(a12 << h, b) == (q, r)
+        assert (a12, 0, b, b1, b2, h) in calls
+
+    def test_s_integer_quotient_above_limit(self):
+        # N parts of 8x and 3x the limit; an exact quotient stays an
+        # S-integer with the sign of the Fraction quotient, an inexact one
+        # is that Fraction
+        rng = random.Random(89)
+        base = _SBase([F(2), F(3)])
+        b = rng.getrandbits(3 * _DIV_LIMIT) * 6 + 1
+        q = rng.getrandbits(5 * _DIV_LIMIT) * 6 + 5
+        for sa, sb in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+            num, den = F(sa * 8 * q * b), F(sb * b, 3)
+            x, y = base.lift(num), base.lift(den)
+            assert abs(x.n).bit_length() > 8 * _DIV_LIMIT
+            got, want = x / y, num / den
+            assert type(got) is _SInt and got == want
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            got = base.lift(num + 1) / y
+            assert type(got) is F and got == (num + 1) / den
 
 
 def typed(values):
@@ -398,8 +512,8 @@ class TestCoefficientRoute:
         assert len(instances) == 86
         for index, (fid, spec, B) in enumerate(instances):
             x0 = mixed_values(rng, B.n)
-            # building a base with the cofactor costs a 2**16-step trial
-            # division, so every fifth instance takes it
+            # the cofactor run repeats the instance on Fractions, doubling
+            # its cost, so every fifth instance takes it
             extra = [self.fallback_y0(B.n)] if index % 5 == 0 else []
             for y0 in [mixed_values(rng, B.n)] + extra:
                 seed = Seed(B, x0, y0)

@@ -29,6 +29,7 @@ from quiverperiod import (
     template_search,
     verify_periodic,
 )
+import quiverperiod.cluster as cluster_mod
 import quiverperiod.families as fm
 import quiverperiod.systems as systems_mod
 from quiverperiod.formats import _frac_str
@@ -433,6 +434,28 @@ class TestSIntegerEngine:
             assert all(type(v) is F for v in trace.seq[s])
         assert trace.states[0].x == x0
         assert all(type(v) is F for state in trace.states for v in state.x)
+
+    def test_recursive_division_matches_fraction_oracle(self, monkeypatch):
+        # from the signed window, n5-2c3-1's values pass 3x the division
+        # limit within 12 steps, so some exchanges divide by the recursive
+        # route: both the divisor's and the quotient's N parts exceed it
+        sys, family = tsys("n5-2c3-1", **ENGINE_SYSTEMS["n5-2c3-1"][0])
+        init = initial_window_from_seed(sys, ENGINE_WINDOWS["negative"][: family.spec.n])
+        sizes = []
+
+        def spy(a, b):
+            sizes.append(min(b.bit_length(), a.bit_length() - b.bit_length()))
+            return divmod_(a, b)
+
+        divmod_ = cluster_mod._divmod
+        monkeypatch.setattr(cluster_mod, "_divmod", spy)
+        seqs = iterate_system(sys, init, 12)
+        expected = t_iterate_direct(sys, init, 12)
+        for s in ("z", "y"):
+            assert [(type(v), v) for v in seqs[s]] == [(type(v), v) for v in expected[s]]
+        assert max(sizes) > cluster_mod._DIV_LIMIT
+        assert max(abs(v.numerator).bit_length() for v in seqs["z"]) > 3 * cluster_mod._DIV_LIMIT
+        assert any(v < 0 for v in seqs["z"] + seqs["y"])
 
     def test_zero_divisor_matches_oracle(self):
         sys, _ = tsys("n4-k2-1", n=1)
