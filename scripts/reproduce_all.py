@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run every verification section and print a summary table."""
+"""Run every verification section and print a summary table.
+
+The theorem searches run on QUIVERPERIOD_JOBS worker processes (default 1),
+as under `quiverperiod reproduce`.
+"""
 
 import argparse
 import random
@@ -7,7 +11,7 @@ import sys
 import time
 
 from quiverperiod import verify_theorem
-from quiverperiod.cli import SECTIONS
+from quiverperiod.cli import SECTIONS, CliError, _default_jobs
 from quiverperiod.reductions import SECTION_TAGS, verify_section
 
 
@@ -22,12 +26,17 @@ def main() -> int:
         if value < low:
             print(f"error: {name} must be >= {low}, got {value}", file=sys.stderr)
             return 2
+    try:
+        jobs = _default_jobs()
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     rng = random.Random(args.seed)
 
     def reports():
         for name, max_param, bound in SECTIONS.values():
-            yield verify_theorem(name, max_param, search_bound=bound)
+            yield verify_theorem(name, max_param, search_bound=bound, jobs=jobs)
         for tag in SECTION_TAGS:
             yield verify_section(tag, seeds=args.dynamics_seeds, horizon=args.horizon, rng=rng)
 

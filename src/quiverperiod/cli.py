@@ -223,15 +223,14 @@ def cmd_tsys_verify_periodic(args) -> int:
         length = min(len(trace.seq["z"]), len(trace.seq["y"]))
         horizon = length - tmpl.max_offset() - tmpl.claimed_period
     try:
-        rep = verify_periodic(trace.seq, tmpl, horizon)
+        row = verify_periodic(trace.seq, tmpl, horizon)
     except ZeroDivisionError as exc:
         raise CliError(str(exc), code=EXIT_VERIFY)
     except QuiverError as exc:  # a trace too short fails; a vacuous check is misuse
         vacuous = min(horizon, tmpl.claimed_period) < 1
         raise CliError(str(exc), code=EXIT_USAGE if vacuous else EXIT_VERIFY)
-    state = "periodic" if rep.ok else f"fails at q={rep.first_failure}"
-    print(f"{tmpl.name}: period {tmpl.claimed_period} over {horizon} steps: {state}")
-    return EXIT_OK if rep.ok else EXIT_VERIFY
+    print(f"{row.label}: {row.detail or 'periodic'}")
+    return EXIT_OK if row.ok else EXIT_VERIFY
 
 
 def cmd_tsys_somos(args) -> int:

@@ -105,12 +105,12 @@ class LaurentPoly:
         return LaurentPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
-    def variable(nvars: int, i: int, power: int = 1) -> "LaurentPoly":
-        """x_i^power, i in 1..nvars."""
+    def variable(nvars: int, i: int) -> "LaurentPoly":
+        """x_i, i in 1..nvars."""
         if not 1 <= i <= nvars:
             raise QuiverError(f"variable index {i} out of range 1..{nvars}")
         exps = [0] * nvars
-        exps[i - 1] = power
+        exps[i - 1] = 1
         return LaurentPoly(nvars, {tuple(exps): 1})
 
     @staticmethod

@@ -9,7 +9,7 @@ check is_period2 for every instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .quiver import (
     ONE_CYCLE,
@@ -238,10 +238,9 @@ def negate(B: ExchangeMatrix) -> ExchangeMatrix:
     return ExchangeMatrix(tuple(tuple(-x for x in row) for row in B.rows))
 
 
-def expected_search_set(
-    theorem: str, spec: Period2Spec, bound: int, connected_only: bool = True
-) -> set[ExchangeMatrix]:
-    """Family instances for one defining equation, closed under arrow reversal.
+def expected_search_set(theorem: str, spec: Period2Spec, bound: int) -> set[ExchangeMatrix]:
+    """Connected family instances for one defining equation, closed under
+    arrow reversal.
 
     Reversing every arrow maps solutions to solutions (the mutation correction
     term is odd under B -> -B), and the displays list the representatives with
@@ -254,9 +253,7 @@ def expected_search_set(
         # a parameter reaching `bound` on any single edge is enough: every
         # family label is monotone in the parameters, so cap at bound.
         for _, B in iter_instances(fam, bound):
-            if max(abs(x) for x in B.flatten()) > bound:
-                continue
-            if connected_only and not is_connected(B):
+            if max(abs(x) for x in B.flatten()) > bound or not is_connected(B):
                 continue
             out.add(B)
             out.add(negate(B))

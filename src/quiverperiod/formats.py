@@ -172,9 +172,9 @@ def trace_to_csv(trace: OrbitTrace, out: IO[str]) -> None:
             out.write(f"{2 * q + parity},{name},{_frac_str(v)}\n")
 
 
-def quiver_to_dot(B: ExchangeMatrix, name: str = "quiver") -> str:
+def quiver_to_dot(B: ExchangeMatrix) -> str:
     """Directed graph with one labeled edge per positive entry."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph quiver {"]
     for i in range(1, B.n + 1):
         lines.append(f"  {i};")
     for i in range(1, B.n + 1):

@@ -236,7 +236,7 @@ def verify_section(
             f"{tag} param={tame} seed {s + 1}: quantity has exact period "
             f"{template.claimed_period} over {horizon} steps",
             res.ok,
-            "" if res.ok else f"first failure at q={res.first_failure}",
+            res.detail,
         )
     # heavier parameters: the exact values grow like S^q in the largest
     # monomial exponent sum S, so iterate under a bit budget and verify the

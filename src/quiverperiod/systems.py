@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cluster import (
-    OrbitTrace,
-    _coefficient,
-    _lift_all,
-    _monomials,
-    _plain,
-    _quotient,
-)
+from .cluster import _coefficient, _lift_all, _monomials, _plain, _quotient
 from .quiver import (
     ONE_CYCLE,
     TWO_CYCLE,
@@ -37,6 +30,7 @@ from .quiver import (
     is_period2,
     mutate,
 )
+from .report import Row
 
 Slot = tuple[str, int]
 
@@ -516,7 +510,12 @@ _TERM_RE = re.compile(rf"(?:(\d+)\*?)?((?:{_FACTOR}\*?)*)")
 def _split(s: str, sep: str) -> list[str]:
     """s cut at each sep outside parentheses."""
     depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in s)
-    cuts = [i for i, (ch, d) in enumerate(zip(s, depths)) if ch == sep and d == 0]
+    # a sign right after "^" belongs to the exponent
+    cuts = [
+        i
+        for i, (ch, d) in enumerate(zip(s, depths))
+        if ch == sep and d == 0 and s[i - 1 : i] != "^"
+    ]
     return [s[a + 1 : b] for a, b in zip([-1, *cuts], [*cuts, len(s)])]
 
 
@@ -528,13 +527,16 @@ def _unwrap(s: str) -> str:
     return s
 
 
-def parse_template(text: str, claimed_period: int = 1, name: str = "custom") -> PeriodicQuantityTemplate:
+def parse_template(text: str, claimed_period: int = 1) -> PeriodicQuantityTemplate:
     """Parse expressions like "(z(q)+z(q+3))/y(q+1)" or "y(q)/z(q+1)".
 
     Terms are sums of products of slot powers (A/B are aliases for z/y);
     an integer literal term is a constant monomial.
     """
     text = text.replace(" ", "")
+    depths = list(itertools.accumulate((ch == "(") - (ch == ")") for ch in text))
+    if depths and (min(depths) < 0 or depths[-1] != 0):
+        raise QuiverError(f"unbalanced parentheses in template {text!r}")
     num_text, *rest = _split(text, "/")
     if not rest and "/" in text:
         raise QuiverError(f"cannot split numerator/denominator in {text!r}")
@@ -556,23 +558,15 @@ def parse_template(text: str, claimed_period: int = 1, name: str = "custom") -> 
             monomials.append(_mono(int(m.group(1) or 1), *factors))
         return tuple(monomials)
 
-    return PeriodicQuantityTemplate(name, parse_side(num_text), parse_side(den_text), claimed_period)
-
-
-@dataclass
-class PeriodicReport:
-    ok: bool
-    first_failure: int | None = None
+    num, den = parse_side(num_text), parse_side(den_text)
+    return PeriodicQuantityTemplate("custom", num, den, claimed_period)
 
 
 def verify_periodic(
-    seqs: dict[str, Sequence] | OrbitTrace,
-    template: PeriodicQuantityTemplate,
-    horizon: int,
-) -> PeriodicReport:
-    """Exact check of value(q + period) == value(q) for q = 0 .. horizon-1."""
-    if isinstance(seqs, OrbitTrace):
-        seqs = seqs.seq
+    seqs: dict[str, Sequence], template: PeriodicQuantityTemplate, horizon: int
+) -> Row:
+    """Exact check of value(q + period) == value(q) for q = 0 .. horizon-1;
+    the row's detail names the first failing q."""
     period = template.claimed_period
     if min(horizon, period) < 1:
         raise QuiverError(f"horizon ({horizon}) and period ({period}) must be >= 1")
@@ -585,8 +579,9 @@ def verify_periodic(
                 f"have {len(seqs[name])}"
             )
     values = [template.eval_at(seqs, q) for q in range(horizon + period)]
-    first_failure = next((q for q in range(horizon) if values[q + period] != values[q]), None)
-    return PeriodicReport(first_failure is None, first_failure)
+    failure = next((q for q in range(horizon) if values[q + period] != values[q]), None)
+    label = f"{template.name}: period {period} over {horizon} steps"
+    return Row(label, failure is None, "" if failure is None else f"fails at q={failure}")
 
 
 # template_search screens candidates modulo this prime; nothing is reported on
@@ -595,18 +590,13 @@ _SCREEN_PRIME = 2**61 - 1
 
 
 def template_search(
-    trace: OrbitTrace | dict[str, Sequence],
-    shift_bound: int,
-    exp_bound: int,
-    max_period: int = 4,
-    extension: dict[str, Sequence] | None = None,
+    seqs: dict[str, Sequence], shift_bound: int, exp_bound: int, max_period: int = 4
 ) -> list[PeriodicQuantityTemplate]:
     """All templates (m1 + m2)/m3 or m1/m2 over the bounded slot window that
-    are exactly periodic with period <= max_period along the trace.
+    are exactly periodic with period <= max_period along the z/y sequences.
 
     Monomials are products of at most two slot powers (or the constant 1).
-    Hits are re-verified on `extension` (a longer, independently generated
-    trace) when provided; results are empirical observations, not proofs.
+    Results are empirical observations on a finite trace, not proofs.
 
     num/d has period p exactly when num(q+p)*d(q) - num(q)*d(q+p) vanishes,
     which is linear in num.  So for each denominator d and period p the rows
@@ -623,7 +613,6 @@ def template_search(
             "template search needs shift_bound >= 0, exp_bound >= 1 and max_period >= 1, "
             f"got {shift_bound}, {exp_bound} and {max_period}"
         )
-    seqs = trace.seq if isinstance(trace, OrbitTrace) else trace
     slots = [(s, off) for s in ("z", "y") for off in range(shift_bound + 1)]
     monomials: list[Monomial] = [_mono(1)]
     for idx, slot in enumerate(slots):
@@ -639,14 +628,6 @@ def template_search(
     usable = min(len(seqs["z"]), len(seqs["y"])) - shift_bound - max_period
     if usable < 3:
         raise QuiverError("trace too short for template search")
-    if extension is not None:
-        need = shift_bound + max_period + 2
-        have = min(len(extension["z"]), len(extension["y"]))
-        if have < need:
-            raise QuiverError(
-                f"extension too short for template search: need {need} values "
-                f"of z and y, have {have}"
-            )
 
     window = {s: seqs[s][: usable + shift_bound] for s in ("z", "y")}
     prime = _SCREEN_PRIME
@@ -709,14 +690,9 @@ def template_search(
         for period in periods[ni, nj, di]:
             if all(vals[q + period] == vals[q] for q in range(usable - period)):
                 num = (monomials[ni],) if ni == nj else (monomials[ni], monomials[nj])
-                tmpl = PeriodicQuantityTemplate(
-                    f"found-p{period}", num, (monomials[di],), period
+                found.append(
+                    PeriodicQuantityTemplate(f"found-p{period}", num, (monomials[di],), period)
                 )
-                if extension is not None:
-                    ext_h = have - shift_bound - period - 1
-                    if not verify_periodic(extension, tmpl, ext_h).ok:
-                        break
-                found.append(tmpl)
                 break
     return found
 
@@ -738,27 +714,22 @@ def tz_condition_holds(sys: SystemSpec, Z: dict[str, Sequence], steps: int) -> b
     return True
 
 
-def check_TZ_condition(
-    Z: dict[str, Sequence],
-    sys: SystemSpec,
-    initial: dict[str, Sequence] | None = None,
-    steps: int = 12,
-) -> bool:
+def check_TZ_condition(Z: dict[str, Sequence], sys: SystemSpec, steps: int = 12) -> bool:
     """Whether the monomial substitution into the Y-system solves it.
 
     Evaluates the product condition on the Z sequences and cross-checks it by
-    iterating the TZ system, forming the plus/minus monomial ratio for each
-    equation, and plugging the result into the extracted Y-system for `steps`
-    values of q.  The two verdicts must agree (they do, by construction of the
-    systems); disagreement raises.  The iteration runs under
-    DEFAULT_BIT_BUDGET; a value past it raises QuiverError.
+    iterating the TZ system from the all-ones window, forming the plus/minus
+    monomial ratio for each equation, and plugging the result into the
+    extracted Y-system for `steps` values of q.  The two verdicts must agree
+    (they do, by construction of the systems); disagreement raises.  The
+    iteration runs under DEFAULT_BIT_BUDGET; a value past it raises
+    QuiverError.
     """
     if sys.kind not in ("T", "TZ"):
         raise QuiverError("check_TZ_condition needs a T- or TZ-kind system")
     tz = SystemSpec("TZ", sys.spec, sys.B0, sys.eq1, sys.eq2)
     need = required_window(tz)
-    if initial is None:
-        initial = {name: [Fraction(1)] * cnt for name, cnt in need.items()}
+    initial = {name: [Fraction(1)] * cnt for name, cnt in need.items()}
     # random Z breaks the exchange cancellations, so value sizes blow up
     # quickly: keep the iterated window as tight as the checks allow
     run = steps + 2 * sys.spec.n + 2

@@ -12,7 +12,6 @@ from math import gcd
 
 from quiverperiod import (
     ExchangeMatrix,
-    OrbitTrace,
     Period2Spec,
     PeriodicQuantityTemplate,
     Permutation,
@@ -21,7 +20,6 @@ from quiverperiod import (
     is_period2,
     mutate_seed,
     permute,
-    verify_periodic,
 )
 from quiverperiod.systems import _mono
 
@@ -175,17 +173,10 @@ def t_iterate_direct(sys, window, steps: int, Z=None):
     return seqs
 
 
-def template_search_direct(
-    trace,
-    shift_bound: int,
-    exp_bound: int,
-    max_period: int = 4,
-    extension=None,
-) -> list:
+def template_search_direct(seqs, shift_bound: int, exp_bound: int, max_period: int = 4) -> list:
     """systems.template_search as a plain triple loop: every numerator
     (one monomial or a pair) over every denominator, divided out with
     Fractions and tested period by period."""
-    seqs = trace.seq if isinstance(trace, OrbitTrace) else trace
     slots = [(s, off) for s in ("z", "y") for off in range(shift_bound + 1)]
     monomials = [_mono(1)]
     for idx, slot in enumerate(slots):
@@ -236,18 +227,10 @@ def template_search_direct(
                     if all(
                         vals[q + period] == vals[q] for q in range(usable - period)
                     ):
-                        tmpl = PeriodicQuantityTemplate(
-                            f"found-p{period}", num, (monomials[di],), period
-                        )
-                        if extension is not None:
-                            ext_h = (
-                                min(len(extension["z"]), len(extension["y"]))
-                                - shift_bound
-                                - period
-                                - 1
+                        found.append(
+                            PeriodicQuantityTemplate(
+                                f"found-p{period}", num, (monomials[di],), period
                             )
-                            if not verify_periodic(extension, tmpl, ext_h).ok:
-                                break
-                        found.append(tmpl)
+                        )
                         break
     return found

@@ -214,13 +214,14 @@ class TestTsysCommands:
             capsys,
         )
         assert code == 0 and "periodic" in out
-        # an expression template that does not hold exits 1
+        # an expression template that does not hold exits 1 and names the first failing q
         code, out, _ = run_cli(
             ["tsys", "verify-periodic", "--trace", str(tpath),
              "--template", "z(q)/y(q)", "--period", "1"],
             capsys,
         )
         assert code == 1
+        assert out == "custom: period 1 over 20 steps: fails at q=0\n"
 
     def test_extract_text_form(self, tmp_path, capsys):
         B = fm.FAMILY_BY_KEY["n5-k2-5"].matrix(p=2)
@@ -592,13 +593,16 @@ def test_search_script_unwritable_out_exit_2(tmp_path):
     ("--horizon", "-1", "error: horizon must be >= 1, got -1\n"),
     ("--horizon", "0", "error: horizon must be >= 1, got 0\n"),
     ("--dynamics-seeds", "-1", "error: dynamics seeds must be >= 0, got -1\n"),
+    # not a flag: the environment variable the theorem searches read
+    ("QUIVERPERIOD_JOBS", "0", "error: QUIVERPERIOD_JOBS must be >= 1, got 0\n"),
 ])
 def test_reproduce_script_rejects_bad_bounds_before_any_section(flag, value, message):
+    argv, env = ([flag, value], {}) if flag.startswith("--") else ([], {flag: value})
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reproduce_all.py"), flag, value],
+        [sys.executable, str(ROOT / "scripts" / "reproduce_all.py"), *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env},
     )
     assert proc.returncode == 2
     assert proc.stderr == message
