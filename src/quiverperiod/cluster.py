@@ -7,6 +7,14 @@ values (the y-variables) are always positive fractions.
 Exponent vectors are packed into single integers (64 bits per variable with a
 large positive bias), so multiplying monomials is one integer addition; all
 packing is internal to this module.
+
+A symbolic orbit does not multiply Laurent polynomials in the x-variables.
+It carries each cluster variable as x_i = x^g_i F_i(yhat), yhat_j = prod_a
+x_a^b0_aj (Fomin-Zelevinsky, Cluster algebras IV, Cor. 6.3): a g-vector and
+an F-polynomial, which follow their own exchange rules.  F-polynomials have
+nonnegative coefficients (Lee-Schiffler, Ann. of Math. 2015), each at most
+F(1), so along one variable a whole fiber of terms packs into one integer
+(Kronecker substitution) and a product of fibers is one integer product.
 """
 
 from __future__ import annotations
@@ -15,7 +23,10 @@ import heapq
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, isqrt, prod
+from operator import mul
+from struct import unpack
 from typing import Sequence
 
 from .quiver import (
@@ -34,6 +45,7 @@ class NonLaurentError(ArithmeticError):
 
 _LIMB = 64
 _BIAS = 1 << 32
+_MASK = (1 << _LIMB) - 1
 
 
 def _pack(exps: Sequence[int]) -> int:
@@ -44,12 +56,11 @@ def _pack(exps: Sequence[int]) -> int:
 
 
 def _unpack(p: int, nvars: int) -> tuple[int, ...]:
-    mask = (1 << _LIMB) - 1
-    return tuple(((p >> (_LIMB * i)) & mask) - _BIAS for i in range(nvars))
+    return tuple(((p >> (_LIMB * i)) & _MASK) - _BIAS for i in range(nvars))
 
 
 def _pack_zero(nvars: int) -> int:
-    return _pack((0,) * nvars)
+    return _BIAS * (((1 << (_LIMB * nvars)) - 1) // _MASK)
 
 
 def _drop_zeros(terms: dict) -> dict:
@@ -82,6 +93,10 @@ class LaurentPoly:
         self._zero = _pack_zero(nvars)
         packed = {}
         for exps, c in (terms or {}).items():
+            if len(exps) != nvars or not all(-_BIAS <= e < _BIAS for e in exps):
+                raise QuiverError(
+                    f"exponent vector {exps} is not {nvars} exponents in [-2^32, 2^32)"
+                )
             if c != 0:
                 packed[_pack(exps)] = _norm_coeff(c)
         self._terms = packed
@@ -271,9 +286,8 @@ class LaurentPoly:
 
     def _min_exponents(self) -> int:
         """Packed componentwise minimum over all exponent vectors."""
-        mask = (1 << _LIMB) - 1
         return sum(
-            min(map((mask << (_LIMB * i)).__and__, self._terms))
+            min(map((_MASK << (_LIMB * i)).__and__, self._terms))
             for i in range(self.nvars)
         )
 
@@ -666,6 +680,177 @@ def _quotient(num, den) -> Fraction:
                     den.n * prod(b ** (d - e) for b, e, d in pairs if d > e))
 
 
+def _delta(v: Sequence[int]) -> int:
+    """The packed shift by the exponent vector v (no bias): adding it to a
+    packed key adds v, as long as every limb stays in range."""
+    return sum(e << (_LIMB * i) for i, e in enumerate(v))
+
+
+def _split(B: ExchangeMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    """B = H P with the r columns of H and the r rows of P returned, for the
+    rank r of B, and P an integer matrix onto Z^r whose kernel is B's:
+    integer column operations (Euclid's, row by row) make B V = [H | 0] for a
+    unimodular V, and P is the first r rows of V^-1, kept by the inverse row
+    operations."""
+    n = B.n
+    cols = [list(col) for col in zip(*B.rows)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    r = 0
+    for row in range(n):
+        while len(live := [i for i in range(r, n) if cols[i][row]]) > 1:
+            p = min(live, key=lambda i: abs(cols[i][row]))
+            for i in live:
+                if i != p:
+                    q = cols[i][row] // cols[p][row]
+                    cols[i] = [a - q * b for a, b in zip(cols[i], cols[p])]
+                    inv[p] = [a + q * b for a, b in zip(inv[p], inv[i])]
+        if live:
+            cols[r], cols[live[0]] = cols[live[0]], cols[r]
+            inv[r], inv[live[0]] = inv[live[0]], inv[r]
+            r += 1
+    return cols[:r], inv[:r]
+
+
+def _spans(terms: dict, nvars: int) -> list[int]:
+    """Max minus min exponent of the packed keys of terms, per variable."""
+    out = []
+    for i in range(nvars):
+        limb = list(map((_MASK << (_LIMB * i)).__and__, terms))
+        out.append((max(limb) - min(limb)) >> (_LIMB * i))
+    return out
+
+
+def _fold(terms: dict, nvars: int, shift: int, s: int) -> tuple[int, LaurentPoly]:
+    """(low, poly) for the polynomial `terms`: low is its least exponent of
+    the variable at bit `shift` of the keys, and poly has one term per fiber
+    along that variable, keyed by the other exponents, whose coefficient packs
+    the fiber's terms c x^e as the sum of c * 2^(s * (e - low))."""
+    mask = _MASK << shift
+    low = min(map(mask.__and__, terms))
+    fibers: dict[int, int] = {}
+    for key, c in terms.items():
+        e = key & mask
+        outer = key - e + (_BIAS << shift)
+        fibers[outer] = fibers.get(outer, 0) | c << (s * ((e - low) >> shift))
+    return (low >> shift) - _BIAS, LaurentPoly._raw(nvars, fibers)
+
+
+class _Separation:
+    """The cluster variables of a symbolic orbit from Seed.initial(B0), as
+    x_i = x^g_i F_i(yhat) with yhat_j = prod_a x_a^b0_aj (Fomin-Zelevinsky,
+    Cluster algebras IV, Cor. 6.3).
+
+    g_i and F_i start at e_i and 1 and follow (6.13) and Prop. 5.1 there,
+    with the c-vectors of run_orbit.  g_i is a packed exponent difference and
+    F_i a dict of packed exponents in variables z, with z = y until the first
+    exchange whose F has more terms than its x: B0 is singular, and F-terms a
+    kernel vector apart meet in x.  Then every F moves to z = P y for
+    B0 = H P (_split), where distinct z-exponents have distinct x-exponents
+    H z.  Moving from the start is slower.
+    """
+
+    def __init__(self, B0: ExchangeMatrix):
+        n = self.n = B0.n
+        self.B0, self.HP = B0, _split(B0)
+        self.b0 = [_delta(col) for col in zip(*B0.rows)]
+        self.h = self.b0  # the x-exponent of each z
+        self.injective = len(self.HP[0]) == n  # distinct z-keys, distinct x-keys
+        self.P: list[list[int]] | None = None  # once the F have moved
+        self.g = [1 << (_LIMB * i) for i in range(n)]
+        self.F = [{_pack_zero(n): 1} for _ in range(n)]
+        self.span = [[0] * n for _ in range(n)]
+
+    def _y(self, i: int, shift: int) -> tuple[int, LaurentPoly]:
+        """y_i = z^(P e_i) folded along the z at bit `shift` of the keys."""
+        m = [int(a == i) for a in range(self.n)]
+        if self.P is not None:
+            m = [row[i] for row in self.P] + [0] * (self.n - len(self.P))
+        e = m[shift // _LIMB]
+        return e, LaurentPoly._raw(self.n, {_pack(m) - (e << shift): 1})
+
+    def _collapse(self):
+        n, (H, P) = self.n, self.HP
+        if any(sum(c[a] * r[b] for c, r in zip(H, P)) != self.B0.rows[a][b]
+               for a in range(n) for b in range(n)):
+            raise ArithmeticError("B0 != H P: a bug")
+        self.P, self.injective = P, True
+        self.h = [_delta(col) for col in H] + [0] * (n - len(H))
+        images = [_delta([row[j] for row in P]) for j in range(n)]  # the z-exponent of y_j
+        base, limbs = _pack_zero(n) - _BIAS * sum(images), range(0, _LIMB * n, _LIMB)
+        for i, terms in enumerate(self.F):
+            out: dict[int, int] = {}
+            for key, c in terms.items():
+                key = base + sum(map(mul, map(_MASK.__and__, map(key.__rshift__, limbs)), images))
+                out[key] = out.get(key, 0) + c
+            self.F[i], self.span[i] = out, _spans(out, n)
+
+    def exchange(self, k: int, col: list[int], ccol: list[int], f1: int) -> LaurentPoly:
+        """The new x_k of the mutation at k (0-based), for the columns b_k and
+        c_k before it and f1 = F'_k(1), the numeric F-value from y0 = 1.
+
+        The exchange runs on the fibers along the z_j of largest span, packed
+        in slots of whole bytes >= bits(f1).  Each F-coefficient lies in
+        [0, f1] (positivity: Lee-Schiffler, Ann. of Math. 2015), so the
+        quotient's slots unpack exactly; products and divisions only form
+        exact integer evaluations at z_j = 2^s."""
+        n, g = self.n, self.g
+        g[k] = (sum(b * g[i] for i, b in enumerate(col) if b > 0) - g[k]
+                - sum(c * b for c, b in zip(ccol, self.b0) if c > 0))
+        j = max(range(n), key=lambda j: sum(abs(b) * self.span[i][j] for i, b in enumerate(col)))
+        shift, s = _LIMB * j, 8 * ((f1.bit_length() + 7) // 8)
+        # the F-value exchange of run_orbit on y_1..y_n, F_1..F_n, folded along
+        # z_j: each as (least exponent of z_j, packed polynomial)
+        weights = ccol + col
+        folded = {i: _fold(self.F[i - n], n, shift, s) if i >= n else self._y(i, shift)
+                  for i, w in enumerate(weights) if w or i == n + k}
+        m_in, m_out = _monomials(LaurentPoly._raw(n, {_pack_zero(n): 1}),
+                                 [(folded[i][1], w) for i, w in enumerate(weights) if w])
+        lo_in, lo_out = (sum(abs(w) * folded[i][0] for i, w in enumerate(weights) if w * sign > 0)
+                         for sign in (1, -1))
+        low, (dlow, den) = min(lo_in, lo_out), folded[n + k]
+        quo = (m_in * (1 << s * (lo_in - low)) + m_out * (1 << s * (lo_out - low))).divide(den)
+        if quo is None:
+            raise NonLaurentError("an exchange left the Laurent ring: from an initial seed, a bug")
+        F, x, self.span[k] = self._unfold(quo, low - dlow, j, s, f1, _pack_zero(n) + g[k])
+        self.F[k] = F
+        if self.P is None and len(F) > len(x):
+            self._collapse()
+        return LaurentPoly._raw(n, x)
+
+    def _unfold(self, quo: LaurentPoly, low: int, j: int, s: int, f1: int, gkey: int):
+        """The F-terms, x-terms and per-variable F-spans of the folded
+        quotient, whose fibers start at z_j^low; a step along a fiber moves a
+        z-key by z_j and an x-key by h_j, the image of z_j."""
+        unit, hj, w = 1 << (_LIMB * j), self.h[j], s // 8
+        F: dict[int, int] = {}
+        x: dict[int, int] = {}
+        total, outers, top = 0, [], 0
+        for outer, v in quo._terms.items():
+            if type(v) is not int or v < 0:
+                raise NonLaurentError("an F-polynomial left the positive integers: a bug")
+            slots = -(-v.bit_length() // s)
+            cs = v.to_bytes(slots * w, "little")
+            if w > 1:
+                cs = list(map(int.from_bytes, unpack(f"{w}s" * slots, cs), repeat("little")))
+            total, top = total + sum(cs), max(top, slots)
+            outers.append(m := _unpack(outer, self.n))
+            zkey = outer + low * unit
+            xkey = gkey + low * hj + sum(e * h for e, h in zip(m, self.h) if e)
+            F.update(compress(zip(range(zkey, zkey + slots * unit, unit), cs), cs))
+            if self.injective and hj:  # hj = 0 only for a z_j fixed at 0
+                x.update(compress(zip(range(xkey, xkey + slots * hj, hj), cs), cs))
+                continue
+            for c in cs:
+                if c:
+                    x[xkey] = x.get(xkey, 0) + c
+                xkey += hj
+        if total != f1 or sum(x.values()) != f1:
+            raise NonLaurentError("coefficients do not sum to F(1): a bug")
+        span = [max(e) - min(e) for e in zip(*outers)]
+        span[j] = top - 1  # the least exponent of z_j is low, which some fiber meets
+        return F, x, span
+
+
 def run_orbit(
     s0: Seed,
     spec: Period2Spec,
@@ -683,6 +868,13 @@ def run_orbit(
     5.1): the F-values, S-integers over the base of y0, take the x exchange
     with C (I at the start, mutated as the rows of [B; C]) weighting y0, and
     a y is formed, with one gcd, only when read.
+
+    A symbolic orbit must start from Seed.initial(B) (QuiverError otherwise).
+    Its x-values come from the same exchange run on F-polynomials and
+    g-vectors, x_i = x^g_i F_i(yhat) (Cor. 6.3 there; see _Separation), with
+    the F-values, F_i(1) from y0 = 1, sizing the packed coefficients.  From
+    there every exchange divides exactly (the Laurent phenomenon), so a
+    NonLaurentError means a bug.
     """
     if steps < 0:
         raise QuiverError("steps must be >= 0")
@@ -691,9 +883,11 @@ def run_orbit(
     n = spec.n
     seq: dict[str, list] = {"z": [], "y": [], "A": [], "B": []}
     states = [s0] if keep_states else None
+    if s0.symbolic and s0 != Seed.initial(s0.B):
+        raise QuiverError("a symbolic orbit starts from Seed.initial(B)")
+    sep = _Separation(s0.B) if s0.symbolic else None
     numeric = all(isinstance(v, (int, Fraction)) for v in s0.x)
     x = _lift_all(s0.x)[0] if numeric else list(s0.x)
-    one_x = LaurentPoly.one(n) if s0.symbolic else Fraction(1)
     y0, (one,) = _lift_all(s0.y, [1])
     F, C, B = [one] * n, [[int(i == j) for j in range(n)] for i in range(n)], s0.B
     ys = list(s0.y)  # each slot's last y, None from a mutation touching it to its next read
@@ -707,9 +901,12 @@ def run_orbit(
         k0 = spec.vertex_at(u) - 1
         seq["zy"[u % 2]].append(x[k0])  # z and A at even steps, y and B at odd
         seq["AB"[u % 2]].append(y_at(k0))
-        col = [row[k0] for row in B.rows]
-        x[k0] = _exchange(one_x, zip(x, col), x[k0])
-        F[k0] = _exchange(one, zip(y0 + F, [r[k0] for r in C] + col), F[k0])
+        col, ccol = [row[k0] for row in B.rows], [r[k0] for r in C]
+        F[k0] = _exchange(one, zip(y0 + F, ccol + col), F[k0])
+        if sep:
+            x[k0] = sep.exchange(k0, col, ccol, F[k0].numerator)
+        else:
+            x[k0] = _exchange(Fraction(1), zip(x, col), x[k0])
         ys = [None if w or j == k0 else v for j, (v, w) in enumerate(zip(ys, col))]
         C = [_mutate_row(r, B.rows[k0], k0) for r in C]
         B = mutate(B, k0 + 1)
@@ -743,6 +940,10 @@ class LaurentReport:
 
 def laurent_check(B: ExchangeMatrix, spec: Period2Spec, depth: int) -> LaurentReport:
     """Run the symbolic orbit of run_orbit from the initial seed of B and
-    report the new variable of every step, the one at spec.vertex_at(u)."""
+    report the new variable of every step, the one at spec.vertex_at(u).
+
+    The values are formed in F-polynomial coordinates (run_orbit), never by
+    Laurent-polynomial products in x; tests/oracles.py::laurent_values_direct
+    forms them by mutate_seed's products and checks them."""
     states = run_orbit(Seed.initial(B), spec, depth).states
     return LaurentReport(depth, [s.x[spec.vertex_at(u) - 1] for u, s in enumerate(states[1:])])

@@ -461,7 +461,8 @@ def test_criterion_12_laurent_suite():
         for fid, _ in fm.iter_instances(fam, 2)
     ]
     # heaviest first by total arrow weight, one task per hand-out, so that
-    # no 30-45 s instance waits in the tail of a large chunk
+    # no heavy instance (n4-2c3-2 and n5-k3-1 with every parameter 2 take
+    # 3-4 s each) waits in the tail of a large chunk
     tasks.sort(key=_arrow_weight, reverse=True)
     with mp.Pool(2) as pool:
         results = list(pool.imap_unordered(_laurent_task, tasks, chunksize=1))

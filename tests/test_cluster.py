@@ -245,6 +245,16 @@ class TestLaurentPoly:
         p = x1 ** 2 * x2 + 3
         assert p.eval([F(2), F(1, 2)]) == F(5)
 
+    def test_malformed_exponent_vectors_rejected(self):
+        # a short tuple would read the bias of the missing limb as an
+        # exponent, a long one would lose its tail, and an exponent outside
+        # the biased limb would spill into its neighbour
+        for exps in [(1,), (1, 2, 3), (2 ** 32, 0), (0, -2 ** 32 - 1)]:
+            with pytest.raises(QuiverError, match="exponent vector"):
+                LaurentPoly(2, {exps: 1})
+        edge = (2 ** 32 - 1, -2 ** 32)
+        assert LaurentPoly(2, {edge: 1}).terms == {edge: 1}
+
 
 class TestSeedMutation:
     def test_symbolic_markov_exchange(self):
@@ -605,6 +615,100 @@ class TestRunOrbit:
                 v = spec.vertex_at(u) - 1
                 assert tr.seq["zy"[odd]][q] == tr.states[u].x[v], (fid, u)
                 assert tr.seq["AB"[odd]][q] == tr.states[u].y[v], (fid, u)
+
+
+def typed_terms(values):
+    return [{e: (type(c), c) for e, c in v.terms.items()} for v in values]
+
+
+class TestSeparatedOrbit:
+    """The symbolic branch of run_orbit (g-vectors and F-polynomials on
+    packed fibers) against mutate_seed's Laurent-polynomial products."""
+
+    @staticmethod
+    def moved_to(monkeypatch, B, spec, depth):
+        """Check laurent_check against the direct oracle, and return the
+        number of z-variables after each move of the F's to z = P y."""
+        seen = []
+        collapse = cluster._Separation._collapse
+
+        def spy(sep):
+            collapse(sep)
+            seen.append(len(sep.P))
+
+        monkeypatch.setattr(cluster._Separation, "_collapse", spy)
+        values = laurent_check(B, spec, depth).values
+        assert typed_terms(values) == typed_terms(laurent_values_direct(B, spec, depth))
+        return seen
+
+    @pytest.mark.parametrize("label, rank, moved", [
+        # nonsingular: F- and x-terms correspond one to one, nothing moves
+        ("N4#3(l=1,m=1,n=1,p=1)", 4, []),
+        # kernel dimension 1: the first collision moves the F's once
+        ("N3#1(n=2)", 2, [2]),
+        ("N3#2()", 2, [2]),  # Markov
+        # kernel dimension 2
+        ("N4#1(n=2)", 2, [2]),
+    ])
+    def test_branch(self, monkeypatch, label, rank, moved):
+        spec, B = {str(fid): (spec, B) for fid, spec, B in fm.regression_instances(2)}[label]
+        assert len(cluster._split(B)[0]) == rank
+        assert self.moved_to(monkeypatch, B, spec, 6) == moved
+
+    def test_kernel_without_unit_pivots(self, monkeypatch):
+        # this kernel's 2x2 minors have gcd 1, so the basis spans all of it,
+        # but none is +-1: no two y_p can be dropped along kernel vectors
+        # with v[p] = 1 and 0 at the other p; _split's P still drops both
+        fam = fm.FAMILY_BY_KEY["n4-2c3-2"]
+        B = fam.matrix(l=4, m=2, n=4, p=5)
+        a, b = [-2, 1, 0, -2], [5, 0, -2, 4]
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in B.rows for v in (a, b))
+        minors = {a[p] * b[q] - a[q] * b[p] for p in range(4) for q in range(p + 1, 4)}
+        assert gcd(*minors) == 1 and not minors & {1, -1}
+        assert len(cluster._split(B)[0]) == 2
+        assert self.moved_to(monkeypatch, B, fam.spec, 4) == [2]
+
+    def test_rank_zero(self, monkeypatch):
+        # every exchange is 2 / x_k; every F collapses to its value at 1
+        B, spec = ExchangeMatrix.zero(3), Period2Spec(3, ONE_CYCLE, 2)
+        assert self.moved_to(monkeypatch, B, spec, 6) == [0]
+        x = [LaurentPoly.variable(3, i) for i in (1, 2, 3)]
+        assert laurent_check(B, spec, 6).values == [2 * v.monomial_div(v * v) for v in x] + x
+
+    def test_non_initial_symbolic_seed_raises(self):
+        x1, x2, x3 = (LaurentPoly.variable(3, i) for i in (1, 2, 3))
+        spec = Period2Spec(3, ONE_CYCLE, 2)
+        for seed in [Seed(MARKOV, (x1 + x2, x2, x3), (1, 1, 1)),
+                     Seed(MARKOV, (x1, x2, x3), (2, 1, 1)),
+                     Seed(MARKOV, (x1, x2, F(3)), (1, 1, 1))]:
+            with pytest.raises(QuiverError, match="Seed.initial"):
+                run_orbit(seed, spec, 2)
+        initial = Seed(MARKOV, (x1, x2, x3), (1, 1, 1))
+        assert run_orbit(initial, spec, 2).states == run_orbit(Seed.initial(MARKOV), spec, 2).states
+
+    def test_coefficient_sum_is_checked(self):
+        # F'_1 = 1 + y_1 for Markov, so F'_1(1) = 2; any other value raises
+        sep = cluster._Separation(MARKOV)
+        with pytest.raises(NonLaurentError, match="sum to F"):
+            sep.exchange(0, [0, -2, 2], [1, 0, 0], 3)
+
+    def test_regression_sample_matches_direct_oracle(self):
+        # the instances beyond regression_instances(1) whose values at x = 1
+        # stay below 10^7 for 6 steps; the oracle's cost grows with them
+        small = {str(fid) for fid, _, _ in fm.regression_instances(1)}
+        sample = [(fid, spec, B) for fid, spec, B in fm.regression_instances(2)
+                  if str(fid) not in small
+                  and max(run_orbit(Seed.ones(B), spec, 6).states[-1].x) <= 10 ** 7]
+        assert len(sample) == 100
+        for fid, spec, B in sample:
+            got = laurent_check(B, spec, 6).values
+            assert typed_terms(got) == typed_terms(laurent_values_direct(B, spec, 6)), fid
+
+    @pytest.mark.parametrize("label", ["N3#2()", "N5_1cycle#1()"])
+    def test_depth_8(self, label):
+        spec, B = {str(fid): (spec, B) for fid, spec, B in fm.regression_instances(1)}[label]
+        assert typed_terms(laurent_check(B, spec, 8).values) == typed_terms(
+            laurent_values_direct(B, spec, 8))
 
 
 class TestLaurentCheck:
