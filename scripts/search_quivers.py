@@ -23,6 +23,10 @@ def main() -> int:
     parser.add_argument("--out", default="-", help="output path ('-' = stdout)")
     args = parser.parse_args()
 
+    if args.max_n < 3:
+        # no job would be built, so --bound and --jobs would go unchecked
+        print(f"error: --max-n must be >= 3, got {args.max_n}", file=sys.stderr)
+        return 2
     try:
         jobs = [
             SearchJob(spec, args.bound, connected_only=True, jobs=args.jobs)

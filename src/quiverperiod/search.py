@@ -11,10 +11,11 @@ vertex-1 mutation with the vertex-k mutation of the relabeled quiver:
 
 with s = sigma and eps(a, c, d) = (|b[a][c]| b[c][d] + b[a][c] |b[c][d]|) / 2.
 The solver runs a depth-first enumeration that checks each equation as soon as
-its support is assigned; once a single pair of an equation is unassigned, it
-solves for it when the pair occurs linearly and otherwise keeps only the values
-within the bound that satisfy the equation.  That keeps the 6-vertex bound-2
-job (5^15 raw candidates) tractable.
+its support is assigned.  Once a single pair of an equation is unassigned, the
+residual is linear in its value on each side of 0, so it is solved in closed
+form.  Every residual is odd under B -> -B: the solver branches on 0..bound
+alone until it assigns a nonzero value, and reports each solution with its
+negation.  This keeps the 6-vertex bound-2 job (5^15 candidates) tractable.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class _Equation:
     terms: tuple[tuple[int, int], ...]
     eps: tuple[tuple[int, int, int, int, int], ...]
     support: tuple[int, ...]
-    linear: frozenset[int]  # support pairs that occur only in terms
 
 
 def _equations(spec: Period2Spec) -> list[_Equation]:
@@ -93,10 +93,8 @@ def _equations(spec: Period2Spec) -> list[_Equation]:
         ):
             if wanted and a is not None and c is not None:
                 eps.append((side, *a, *c))
-        eps_pairs = {t for e in eps for t in (e[1], e[3])}
-        support = tuple(sorted({lt, rt} | eps_pairs))
-        linear = frozenset({lt, rt} - eps_pairs)
-        eqs.append(_Equation((i, j), case, terms, tuple(eps), support, linear))
+        support = tuple(sorted({lt, rt, *(t for e in eps for t in (e[1], e[3]))}))
+        eqs.append(_Equation((i, j), case, terms, tuple(eps), support))
     return eqs
 
 
@@ -126,16 +124,27 @@ def residual_report(
     return [(eq.pair, eq.case, _eval_eq(eq, val)) for eq in _equations(spec)]
 
 
+def _roots(f0: int, slope: int, lo: int, hi: int) -> Sequence[int]:
+    """The x in lo..hi, ascending, with f0 + slope * x == 0."""
+    if slope == 0:
+        return range(lo, hi + 1) if f0 == 0 else ()
+    x, r = divmod(-f0, slope)
+    return (x,) if r == 0 and lo <= x <= hi else ()
+
+
 class _Solver:
     """Depth-first enumeration with propagation, over pair indices.
 
     val[t] is the value of pair t or None; free[e] counts the unassigned
     support pairs of equation e, so an assignment revisits only the equations
     it touches; done[e] marks an equation that holds whatever is still free.
+    nonzero counts the assigned nonzero values; while it is 0, every value is
+    0 and a branch takes only 0..bound, since a state and its negation have
+    mirrored picks and propagations.
     """
 
     def __init__(self, spec: Period2Spec, bound: int, prefix: dict[int, int] | None = None):
-        self.domain = range(-bound, bound + 1)
+        self.bound = bound
         m = spec.n * (spec.n - 1) // 2
         self.equations = _equations(spec)
         self.eqs_of_pair: list[list[int]] = [[] for _ in range(m)]
@@ -145,16 +154,18 @@ class _Solver:
         self.val: list[int | None] = [None] * m
         for t, v in (prefix or {}).items():
             self.val[t] = v
+        self.nonzero = sum(1 for v in self.val if v)
         self.free = [sum(self.val[t] is None for t in eq.support) for eq in self.equations]
         self.done = [False] * len(self.equations)
 
     def solutions(self) -> Iterator[tuple[int, ...]]:
-        """Each solution as its tuple of pair values."""
+        """Each solution as its tuple of pair values, one of each s, -s."""
         return self._dfs([e for e, f in enumerate(self.free) if f <= 1])
 
     def _assign(self, t: int, v: int, queue: list[int]) -> None:
         """Set pair t and queue the equations left with at most one free pair."""
         self.val[t] = v
+        self.nonzero += v != 0
         free = self.free
         for e in self.eqs_of_pair[t]:
             free[e] -= 1
@@ -162,30 +173,32 @@ class _Solver:
                 queue.append(e)
 
     def _unassign(self, t: int) -> None:
+        self.nonzero -= self.val[t] != 0
         self.val[t] = None
         for e in self.eqs_of_pair[t]:
             self.free[e] += 1
 
     def _fits(self, eq: _Equation, t: int) -> list[int]:
-        """The values in the domain of t, the one free pair of eq, that solve eq."""
+        """The x in -bound..bound, ascending, solving eq with its one free pair
+        t set to x: f0 + neg * x = 0 for x <= 0, f0 + pos * x = 0 for x >= 0,
+        as eps(s * x, f) is x (f + s |f|) / 2 if x > 0, x (s |f| - f) / 2 if x < 0."""
         val = self.val
-        if t in eq.linear:
-            # eq is affine in t: f0 + slope * t
-            slope = sum(c for s, c in eq.terms if s == t)
-            val[t] = 0
-            f0 = _eval_eq(eq, val)
-            if slope == 0:
-                fits = list(self.domain) if f0 == 0 else []
+        f0 = pos = neg = 0
+        for s, c in eq.terms:
+            if s == t:
+                pos, neg = pos + c, neg + c
             else:
-                fits = [x for x in (-f0 // slope,) if f0 % slope == 0 and x in self.domain]
-        else:
-            fits = []
-            for x in self.domain:
-                val[t] = x
-                if _eval_eq(eq, val) == 0:
-                    fits.append(x)
-        val[t] = None
-        return fits
+                f0 += c * val[s]
+        for side, ta, sa, tc, sc in eq.eps:
+            if t in (ta, tc):
+                s, f = (sa, sc * val[tc]) if ta == t else (sc, sa * val[ta])
+                pos += side * ((f + s * abs(f)) // 2)
+                neg += side * ((s * abs(f) - f) // 2)
+            else:
+                a, c = sa * val[ta], sc * val[tc]
+                f0 += side * ((abs(a) * c + a * abs(c)) // 2)
+        b = self.bound
+        return [*_roots(f0, neg, -b, -1), *_roots(f0, 0, 0, 0), *_roots(f0, pos, 1, b)]
 
     def _propagate(self, queue: list[int]) -> tuple[list[int], list[int], bool]:
         """Check the queued equations, assign each pair that one of them
@@ -207,7 +220,7 @@ class _Solver:
                 if len(fits) == 1:
                     self._assign(t, fits[0], queue)
                     assigned.append(t)
-                elif len(fits) < len(self.domain):
+                elif len(fits) <= 2 * self.bound:
                     continue
             elif _eval_eq(eq, val) != 0:
                 return assigned, closed, False
@@ -234,7 +247,7 @@ class _Solver:
                         yield tuple(self.val)
                 else:
                     t = self._pick()
-                    for v in self.domain:
+                    for v in range(-self.bound if self.nonzero else 0, self.bound + 1):
                         queue = []
                         self._assign(t, v, queue)
                         yield from self._dfs(queue)
@@ -248,7 +261,8 @@ class _Solver:
 
 def _solve_prefix(args) -> list[tuple[int, ...]]:
     spec, bound, prefix = args
-    return list(_Solver(spec, bound, prefix).solutions())
+    found = list(_Solver(spec, bound, prefix).solutions())
+    return found + [tuple(-x for x in v) for v in found if any(v)]
 
 
 def search(job: SearchJob) -> Iterator[ExchangeMatrix]:
@@ -257,14 +271,15 @@ def search(job: SearchJob) -> Iterator[ExchangeMatrix]:
     Results are yielded in lexicographic order of the flattened matrix; the
     order (and the result set) does not depend on the worker count.  The
     enumeration never reaches one assignment twice, and the parallel tasks
-    split it by the value of its first branching pair.
+    split it by the value 0..bound of its first branching pair; the negations
+    of their solutions give that pair -bound..-1.
     """
     spec, bound = job.spec, job.bound
     if job.jobs > 1:
         import multiprocessing as mp
 
         first = _Solver(spec, bound)._pick()
-        tasks = [(spec, bound, {first: t}) for t in range(-bound, bound + 1)]
+        tasks = [(spec, bound, {first: t}) for t in range(bound + 1)]
         with mp.Pool(job.jobs) as pool:
             found = [v for chunk in pool.imap_unordered(_solve_prefix, tasks) for v in chunk]
     else:

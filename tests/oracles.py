@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's formula paths: mutation is done by the
 three-step arrow procedure on explicit arrow counts, the period-2 search
-oracle is a plain loop over all candidate matrices, and the template search
+oracle is a plain loop over all candidate matrices, a one-free-pair equation
+is solved by trying every value within the bound, and the template search
 oracle divides out every numerator/denominator pair with Fractions.
 """
 
@@ -80,6 +81,17 @@ def residual_direct(B: ExchangeMatrix, spec: Period2Spec) -> list[int]:
     return [
         (-1 if (i, j) == (1, k) else 1) * (left.b(i, j) - right.b(i, j))
         for i, j in upper_pairs(n)
+    ]
+
+
+def fits_by_scan(spec: Period2Spec, entries: dict, e: int, free: tuple, bound: int) -> list[int]:
+    """The x in -bound..bound, ascending, for which the residual of the e-th
+    pair i<j vanishes with entry `free` set to x and the other upper entries
+    read from `entries`: residual_direct at each x in turn."""
+    return [
+        x
+        for x in range(-bound, bound + 1)
+        if residual_direct(ExchangeMatrix.from_entries(spec.n, {**entries, free: x}), spec)[e] == 0
     ]
 
 

@@ -575,6 +575,21 @@ def test_search_script_rejects_jobs_zero(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_n", ["2", "-1"])
+def test_search_script_rejects_max_n_below_3(tmp_path, max_n):
+    out = tmp_path / "hits.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "search_quivers.py"),
+         "--max-n", max_n, "--bound", "0", "--jobs", "0", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: --max-n must be >= 3, got {max_n}\n"
+    assert not out.exists()
+
+
 def test_search_script_unwritable_out_exit_2(tmp_path):
     out = tmp_path / "missing" / "hits.jsonl"
     proc = subprocess.run(

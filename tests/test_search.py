@@ -17,7 +17,9 @@ from quiverperiod import (
     search,
 )
 
-from oracles import all_matrices, brute_period2, residual_direct, upper_pairs
+from quiverperiod.search import _Solver
+
+from oracles import all_matrices, brute_period2, fits_by_scan, residual_direct, upper_pairs
 
 MARKOV = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 SPEC32 = Period2Spec(3, ONE_CYCLE, 2)
@@ -157,3 +159,65 @@ def test_solver_matches_bruteforce_every_canonical_spec(n):
             assert residual_report(B, spec) == [
                 (pair, _case(pair, spec.k), v) for pair, v in zip(upper_pairs(n), want)
             ]
+
+
+def _canonical_specs(n):
+    return [
+        spec
+        for shape in (ONE_CYCLE, TWO_CYCLE)
+        for spec in (Period2Spec(n, shape, k) for k in range(2, n + 1))
+        if spec.in_canonical_range()
+    ]
+
+
+def _negated(flat):
+    return tuple(-x for x in flat)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_search_closed_under_negation(n):
+    """Every residual is odd under B -> -B, and the solver finds one of each
+    pair s, -s and adds the other; nothing may be lost or doubled, for either
+    worker count."""
+    for spec in _canonical_specs(n):
+        for jobs in (1, 2):
+            rows = [B.flatten() for B in search(SearchJob(spec, 2, jobs=jobs))]
+            assert len(set(rows)) == len(rows), (spec, jobs)
+            assert {_negated(r) for r in rows} == set(rows), (spec, jobs)
+
+
+def test_raw_solver_finds_one_of_each_sign_pair():
+    spec = Period2Spec(4, TWO_CYCLE, 2)
+    raw = list(_Solver(spec, 2).solutions())
+    zero = (0,) * len(upper_pairs(4))
+    assert raw.count(zero) == 1
+    assert len(set(raw)) == len(raw)
+    assert not {_negated(v) for v in raw if v != zero} & set(raw)
+    assert 2 * len(raw) - 1 == len(list(search(SearchJob(spec, 2)))) > 1
+
+
+def test_fits_match_scan_oracle():
+    """The closed-form one-free-pair solve against trying every value through
+    residual_direct, on random partial assignments (half their entries 0, so
+    that slopes and constants vanish often), for every equation of every
+    canonical spec with n <= 6 and bounds 1-4."""
+    rng = random.Random(20260)
+    sizes = set()
+    for n in (3, 4, 5, 6):
+        pairs = upper_pairs(n)
+        for spec in _canonical_specs(n):
+            for bound in (1, 2, 3, 4):
+                solver = _Solver(spec, bound)
+                for e, eq in enumerate(solver.equations):
+                    for _ in range(6):
+                        t = rng.choice(eq.support)
+                        values = [rng.choice((0, rng.randint(-bound, bound))) for _ in pairs]
+                        solver.val = [None if s == t else v for s, v in enumerate(values)]
+                        entries = {p: v for s, (p, v) in enumerate(zip(pairs, values)) if s != t}
+                        got = solver._fits(eq, t)
+                        assert got == fits_by_scan(spec, entries, e, pairs[t], bound), (
+                            spec, bound, eq.pair, values, t
+                        )
+                        sizes.add(min(len(got), 2))
+    # the test saw equations with no, one and several solutions
+    assert sizes == {0, 1, 2}
