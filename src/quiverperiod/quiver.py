@@ -153,8 +153,8 @@ class Period2Spec:
         if not 2 <= self.k <= self.n:
             raise QuiverError(f"k={self.k} out of range for n={self.n}")
 
-    # a spec is immutable and hashable, so sigma, nu and each nu-orbit are
-    # built once per spec (equal specs share one cache entry)
+    # a spec is immutable and hashable, so sigma and nu are built once per spec
+    # value, and the tables below once per instance
     @functools.cache
     def sigma(self) -> Permutation:
         if self.shape == ONE_CYCLE:
@@ -168,20 +168,25 @@ class Period2Spec:
         """The inverse of sigma; drives the mutation-point bookkeeping."""
         return self.sigma().inverse()
 
-    @functools.cache
-    def nu_orbit(self, base: int) -> tuple[int, ...]:
-        """(base, nu(base), nu^2(base), ...) up to the return to base."""
-        nu = self.nu()
-        orbit = [base]
-        while (i := nu(orbit[-1])) != base:
-            orbit.append(i)
-        return tuple(orbit)
+    @functools.cached_property
+    def sigma_powers(self) -> tuple[tuple[int, ...], ...]:
+        """The image tuples of sigma^0, sigma^1, ... up to the order of sigma."""
+        s = self.sigma().image
+        powers = [tuple(range(1, self.n + 1))]
+        while (p := tuple(s[i - 1] for i in powers[-1])) != powers[0]:
+            powers.append(p)
+        return tuple(powers)
+
+    @functools.cached_property
+    def schedule(self) -> tuple[int, ...]:
+        """The vertex mutated at each time u = 2r + l below twice the order L of
+        sigma, nu^r(1) for l = 0 and nu^r(k) for l = 1; it repeats with period 2L."""
+        ps = self.sigma_powers
+        return tuple(ps[-r][i] for r in range(len(ps)) for i in (0, self.k - 1))
 
     def vertex_at(self, u: int) -> int:
         """The vertex mutated at time u: nu^r(1) for u = 2r, nu^r(k) for u = 2r+1."""
-        r, l = divmod(u, 2)
-        orbit = self.nu_orbit(1 if l == 0 else self.k)
-        return orbit[r % len(orbit)]
+        return self.schedule[u % len(self.schedule)]
 
     def in_canonical_range(self) -> bool:
         if self.shape == ONE_CYCLE:
@@ -236,13 +241,9 @@ def permute(B: ExchangeMatrix, s: Permutation) -> ExchangeMatrix:
     """Relabel vertices: the result C satisfies C[s(i)][s(j)] = B[i][j]."""
     if B.n != s.n:
         raise QuiverError(f"degree mismatch: matrix {B.n}, permutation {s.n}")
-    n = B.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        si = s(i) - 1
-        for j in range(1, n + 1):
-            rows[si][s(j) - 1] = B.rows[i - 1][j - 1]
-    return ExchangeMatrix(tuple(tuple(r) for r in rows))
+    # inv[a] = s^-1(a + 1) - 1, so C[a][b] = B[inv[a]][inv[b]]
+    inv = sorted(range(B.n), key=s.image.__getitem__)
+    return ExchangeMatrix(tuple([tuple([r[j] for j in inv]) for r in [B.rows[i] for i in inv]]))
 
 
 def is_period1(B: ExchangeMatrix) -> bool:

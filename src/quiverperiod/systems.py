@@ -52,11 +52,11 @@ def lambdas_at(spec: Period2Spec, i: int, u: int) -> tuple[int, int]:
 
 
 def _b_at(spec: Period2Spec, B0: ExchangeMatrix, B1: ExchangeMatrix, j: int, i: int, u: int) -> int:
-    """b[j][i] at time u, reduced to B(0)/B(1) by orbit periodicity."""
+    """b[j][i] at time u = 2r + l: b[s(j)][s(i)] of B(l), s = sigma^r read off
+    the spec's table of powers (orbit periodicity)."""
     r, l = divmod(u, 2)
-    s = spec.sigma() ** r
-    mat = B0 if l == 0 else B1
-    return mat.b(s(j), s(i))
+    s = spec.sigma_powers[r % len(spec.sigma_powers)]
+    return (B0 if l == 0 else B1).b(s[j - 1], s[i - 1])
 
 
 def h_exponent(
@@ -65,8 +65,9 @@ def h_exponent(
 ) -> tuple[int, int]:
     """(H+, H-) for the pair of mutation points (j, v) and (i, u).
 
-    Nonzero only when u lies strictly inside (v - lambda_minus(j, v), v); the
-    value is the positive (resp. negative) part of b[j][i] at time u.
+    Nonzero only when u lies strictly inside (v - lambda_minus(j, v), v), so
+    only for v in (u, u + 2n - 1); the value is the positive (resp. negative)
+    part of b[j][i] at time u.
     """
     if spec.vertex_at(v) != j or spec.vertex_at(u) != i:
         raise QuiverError("not forward mutation points")
@@ -81,8 +82,8 @@ def g_exponent(
     j: int, v: int, i: int, u: int,
     spec: Period2Spec, B0: ExchangeMatrix, B1: ExchangeMatrix,
 ) -> tuple[int, int]:
-    """(G+, G-): nonzero when v lies inside (u, u + lambda_plus(i, u)), with
-    the sign bracket taken on -b[j][i] at time v."""
+    """(G+, G-): nonzero only when v lies inside (u, u + lambda_plus(i, u)),
+    with the sign bracket taken on -b[j][i] at time v."""
     if spec.vertex_at(v) != j or spec.vertex_at(u) != i:
         raise QuiverError("not forward mutation points")
     lam_plus, _ = lambdas_at(spec, i, u)
@@ -281,7 +282,13 @@ def _slot(u: int) -> Slot:
 
 def tabulate_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSpec:
     """First-principles system: walk the mutation-point windows and collect
-    H (T-kind) or G (Y-kind) exponents.  Independent of extract_system."""
+    H (T-kind) or G (Y-kind) exponents.  Independent of extract_system.
+
+    H and G of the points (j, v) and (i, u) vanish unless v lies in
+    (u, u + lambda), lambda being lambda_minus(j, v) or lambda_plus(i, u), and
+    every lambda is at most 2n - 1, so the equation at u scans only the 2n - 2
+    times v in (u, u + 2n - 1).
+    """
     kind, B1 = _checked(B, spec, kind)
     n = spec.n
     expo = h_exponent if kind in ("T", "TZ") else g_exponent
@@ -291,11 +298,8 @@ def tabulate_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSp
         lam_plus, _ = lambdas_at(spec, i, u)
         plus: dict[Slot, int] = {}
         minus: dict[Slot, int] = {}
-        for v in range(u - 4 * n, u + 4 * n + 1):
-            if v == u:
-                continue
-            j = spec.vertex_at(v)
-            hp, hm = expo(j, v, i, u, spec, B, B1)
+        for v in range(u + 1, u + 2 * n - 1):
+            hp, hm = expo(spec.vertex_at(v), v, i, u, spec, B, B1)
             slot = _slot(v)
             if hp:
                 plus[slot] = plus.get(slot, 0) + hp

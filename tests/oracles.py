@@ -3,8 +3,10 @@
 These deliberately avoid the library's formula paths: mutation is done by the
 three-step arrow procedure on explicit arrow counts, the period-2 search
 oracle is a plain loop over all candidate matrices, a one-free-pair equation
-is solved by trying every value within the bound, and the template search
-oracle divides out every numerator/denominator pair with Fractions.
+is solved by trying every value within the bound, the template search
+oracle divides out every numerator/denominator pair with Fractions, relabeling
+fills the matrix entry by entry, and the tabulated system applies the H/G rules
+at every time within 4n of the equation's own, with sigma^r as Permutation powers.
 """
 
 from fractions import Fraction
@@ -12,17 +14,20 @@ from itertools import product
 from math import gcd
 
 from quiverperiod import (
+    EquationSpec,
     ExchangeMatrix,
     Period2Spec,
     PeriodicQuantityTemplate,
     Permutation,
     QuiverError,
     Seed,
+    SystemSpec,
     is_period2,
+    mutate,
     mutate_seed,
     permute,
 )
-from quiverperiod.systems import _mono
+from quiverperiod.systems import _mono, _slot, lambdas_at
 
 
 def arrow_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -67,6 +72,16 @@ def permutation_power_direct(s: Permutation, exp: int) -> Permutation:
     for _ in range(abs(exp)):
         result = base.compose(result)
     return result
+
+
+def permute_direct(B: ExchangeMatrix, s: Permutation) -> ExchangeMatrix:
+    """permute(B, s) by a double loop: entry (s(i), s(j)) takes b[i][j]."""
+    n = B.n
+    rows = [[0] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            rows[s(i) - 1][s(j) - 1] = B.b(i, j)
+    return ExchangeMatrix.from_rows(rows)
 
 
 def residual_direct(B: ExchangeMatrix, spec: Period2Spec) -> list[int]:
@@ -154,6 +169,45 @@ def laurent_values_direct(B: ExchangeMatrix, spec: Period2Spec, depth: int) -> l
         if u % 2:
             seed = relabel_direct(seed, spec.sigma())
     return values
+
+
+def tabulate_system_direct(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSpec:
+    """tabulate_system by the full scan of every time v within 4n of u.  The
+    vertex of time 2r + l is nu^r(1) or nu^r(k), b[j][i] at time 2r + l is
+    b[s(j)][s(i)] of B(l) with s = sigma^r, both as Permutation powers, and a
+    point contributes only inside its window: H (T, TZ) at time u when
+    v - lambda_minus(j, v) < u < v, G (Y) at time v when u < v < u + lambda_plus(i, u)."""
+    kind = kind.upper()
+    n, nu, sigma, B1 = spec.n, spec.nu(), spec.sigma(), mutate(B, 1)
+
+    def vertex(t):
+        r, l = divmod(t, 2)
+        return (nu ** r)(1 if l == 0 else spec.k)
+
+    def b_at(j, i, t):
+        r, l = divmod(t, 2)
+        s = sigma ** r
+        return (B if l == 0 else B1).b(s(j), s(i))
+
+    def build(u):
+        i = vertex(u)
+        lam_plus, _ = lambdas_at(spec, i, u)
+        plus, minus = {}, {}
+        for v in range(u - 4 * n, u + 4 * n + 1):
+            if v == u:
+                continue
+            j = vertex(v)
+            if kind == "Y":
+                b = -b_at(j, i, v) if u < v < u + lam_plus else 0
+            else:
+                b = b_at(j, i, u) if v - lambdas_at(spec, j, v)[1] < u < v else 0
+            if b > 0:
+                plus[_slot(v)] = b
+            elif b < 0:
+                minus[_slot(v)] = -b
+        return EquationSpec((_slot(u), _slot(u + lam_plus)), plus, minus)
+
+    return SystemSpec(kind, spec, B, build(0), build(1))
 
 
 def somos4_direct(C, exponent: int, initial, steps: int):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from quiverperiod import (
     permute,
 )
 
-from oracles import arrow_mutate, permutation_power_direct
+from oracles import arrow_mutate, permutation_power_direct, permute_direct
 
 MARKOV = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 
@@ -134,6 +135,15 @@ class TestPermute:
     def test_degree_mismatch(self):
         with pytest.raises(QuiverError):
             permute(MARKOV, Permutation.identity(4))
+
+    def test_matches_double_loop(self):
+        import quiverperiod.families as fm
+
+        last_of_each_n = {spec.n: B for _, spec, B in fm.regression_instances(2)}
+        for B in [MARKOV, *(last_of_each_n[n] for n in (3, 4, 5))]:
+            for image in permutations(range(1, B.n + 1)):
+                s = Permutation(B.n, image)
+                assert permute(B, s) == permute_direct(B, s), (B, image)
 
 
 class TestPermutationPower:

@@ -14,6 +14,7 @@ from quiverperiod import (
     ExchangeMatrix,
     Period2Spec,
     QuiverError,
+    SearchJob,
     Seed,
     SystemSpec,
     check_TZ_condition,
@@ -25,6 +26,7 @@ from quiverperiod import (
     parse_template,
     required_window,
     run_orbit,
+    search,
     tabulate_system,
     template_search,
     verify_periodic,
@@ -40,6 +42,7 @@ from oracles import (
     permutation_power_direct,
     somos4_direct,
     t_iterate_direct,
+    tabulate_system_direct,
     template_search_direct,
 )
 
@@ -75,8 +78,11 @@ class TestForwardPoints:
         assert [spec.vertex_at(u) for u in range(6)] == [1, 2, 5, 1, 4, 5]
 
     def test_vertex_at_matches_powers_of_nu(self):
-        # every spec with n <= 8, negative times included (tabulate_system
-        # reads back to u - 4n)
+        # every spec with n <= 8, negative times included (extract_system's
+        # Y-kind slots read vertex_at(idx - 2p)), and the far times
+        # u = +-10^6 + r, r = 0, 1, where the schedule table's modulo is far
+        # from 0; there the cycle walk nu ** r stands in for repeated
+        # composition (TestPermutationPower checks the two agree)
         for n in range(2, 9):
             for shape in (ONE_CYCLE, TWO_CYCLE):
                 for k in range(2, n + 1):
@@ -86,6 +92,9 @@ class TestForwardPoints:
                         r, l = divmod(u, 2)
                         want = permutation_power_direct(nu, r)(1 if l == 0 else k)
                         assert spec.vertex_at(u) == want, (spec, u)
+                    for u in (-(10**6), -(10**6) + 1, 10**6, 10**6 + 1):
+                        r, l = divmod(u, 2)
+                        assert spec.vertex_at(u) == (nu ** r)(1 if l == 0 else k), (spec, u)
 
 
 class TestExponents:
@@ -180,6 +189,20 @@ class TestExtract:
             closed = extract_system(B, spec, kind)
             generic = tabulate_system(B, spec, kind)
             assert (closed.eq1, closed.eq2) == (generic.eq1, generic.eq2), str(fid)
+
+    def test_tabulation_matches_full_scan_oracle(self):
+        # tabulate_system scans only (u, u + 2n - 1); the oracle scans
+        # [u - 4n, u + 4n] with Permutation powers.  Only the one-cycle k = n
+        # equation reaches lambda = 2n - 1, so only it can use the window's
+        # last time u + 2n - 2; its bound-1 solutions join the instances.
+        cases = [(str(fid), spec, B) for fid, spec, B in fm.regression_instances(2)]
+        for n in (3, 4, 5):
+            spec = Period2Spec(n, ONE_CYCLE, n)
+            cases += [(f"{spec} {B.flatten()}", spec, B) for B in search(SearchJob(spec, 1))]
+        for name, spec, B in cases:
+            for kind in ("T", "Y", "TZ"):
+                got, want = tabulate_system(B, spec, kind), tabulate_system_direct(B, spec, kind)
+                assert (got.eq1, got.eq2) == (want.eq1, want.eq2), (name, kind)
 
     def test_closed_forms_match_golden_digest(self):
         rows = []
