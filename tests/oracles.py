@@ -5,8 +5,10 @@ three-step arrow procedure on explicit arrow counts, the period-2 search
 oracle is a plain loop over all candidate matrices, a one-free-pair equation
 is solved by trying every value within the bound, the template search
 oracle divides out every numerator/denominator pair with Fractions, relabeling
-fills the matrix entry by entry, and the tabulated system applies the H/G rules
-at every time within 4n of the equation's own, with sigma^r as Permutation powers.
+fills the matrix entry by entry, the tabulated system applies the H/G rules
+at every time within 4n of the equation's own, with sigma^r as Permutation powers,
+and the T_Z condition is tested by substituting iterated T_Z values into the
+Y-system.
 """
 
 from fractions import Fraction
@@ -22,12 +24,16 @@ from quiverperiod import (
     QuiverError,
     Seed,
     SystemSpec,
+    extract_system,
     is_period2,
+    iterate_system,
     mutate,
     mutate_seed,
     permute,
+    required_window,
 )
-from quiverperiod.systems import _mono, _slot, lambdas_at
+from quiverperiod.cluster import _coefficient, _monomials, _quotient
+from quiverperiod.systems import _at, _mono, _slot, lambdas_at
 
 
 def arrow_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -237,6 +243,34 @@ def t_iterate_direct(sys, window, steps: int, Z=None):
             seq, off = eq.lhs[0]
             seqs[eq.lhs[1][0]].append(val / seqs[seq][q + off])
     return seqs
+
+
+def tz_substitution_direct(Z, sys, steps: int, bit_budget: int):
+    """check_TZ_condition by substitution: iterate the TZ system from the
+    all-ones window, form the bars Y = M+/M- of eq1 and eq2, and test the
+    extracted Y-system on them for q < steps.  None when a value of the
+    iteration passes bit_budget bits before the bars are complete."""
+    tz = SystemSpec("TZ", sys.spec, sys.B0, sys.eq1, sys.eq2)
+    need = required_window(tz)
+    run = steps + 2 * sys.spec.n + 2
+    initial = {name: [Fraction(1)] * cnt for name, cnt in need.items()}
+    seqs = iterate_system(tz, initial, run, Z=Z, bit_budget=bit_budget)
+    if len(seqs["z"]) - need["z"] < run:
+        return None
+    count = steps + sys.spec.n + 1
+
+    def bars(eq):
+        factors = eq.factors()
+        return [_quotient(*_monomials(1, _at(seqs, factors, q))) for q in range(count)]
+
+    bar = {"z": bars(tz.eq1), "y": bars(tz.eq2)}
+    for eq in extract_system(sys.B0, sys.spec, "Y").equations():
+        (s0, o0), (s1, o1) = eq.lhs
+        factors = eq.factors()
+        for q in range(steps):
+            if bar[s0][q + o0] * bar[s1][q + o1] != _coefficient(Fraction(1), _at(bar, factors, q)):
+                return False
+    return True
 
 
 def template_search_direct(seqs, shift_bound: int, exp_bound: int, max_period: int = 4) -> list:

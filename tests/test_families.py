@@ -117,6 +117,16 @@ def test_verify_theorem_pairings():
     assert report.ok
 
 
+def test_verify_theorem_reports_a_failing_companion(monkeypatch):
+    # with k' = k the k = 2 families get a wrong companion equation; that
+    # must read as a FAIL row, not raise
+    monkeypatch.setattr(Period2Spec, "partner_k", lambda self: self.k)
+    report = verify_theorem("N5_1cycle", 1)
+    companions = [r for r in report.rows if r.label.startswith("mu_1-companion")]
+    assert any(not r.ok for r in companions) and any(r.ok for r in companions)
+    assert not report.ok
+
+
 def test_verify_theorem_unknown():
     with pytest.raises(QuiverError):
         verify_theorem("N9", 2)
