@@ -235,7 +235,7 @@ def iter_instances(
 
 
 def negate(B: ExchangeMatrix) -> ExchangeMatrix:
-    return ExchangeMatrix(tuple(tuple(-x for x in row) for row in B.rows))
+    return ExchangeMatrix._unchecked(tuple(tuple(-x for x in row) for row in B.rows))
 
 
 def expected_search_set(theorem: str, spec: Period2Spec, bound: int) -> set[ExchangeMatrix]:

@@ -42,16 +42,13 @@ def quiver_from_dict(data: dict) -> ExchangeMatrix:
         raise FormatError(f"expected format {QUIVER_FORMAT!r}, got {data.get('format')!r}")
     n = data.get("n")
     b = data.get("b")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise FormatError("field 'n' must be a positive integer")
     if not isinstance(b, list) or len(b) != n:
         raise FormatError(f"field 'b' must be a {n}x{n} integer matrix")
     for i, row in enumerate(b):
         if not isinstance(row, list) or len(row) != n:
             raise FormatError(f"row {i + 1} of 'b' must have {n} entries")
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise FormatError(f"entry b[{i + 1}][{j + 1}] must be an integer")
     try:
         return ExchangeMatrix.from_rows(b)
     except QuiverError as exc:
@@ -157,7 +154,10 @@ def trace_from_dict(data: dict) -> OrbitTrace:
         if not isinstance(data.get(name, []), list):
             raise FormatError(f"field {name!r} must be a list of rationals")
         seq[name] = [_parse_frac(v, f"{name}[{i}]") for i, v in enumerate(data.get(name, []))]
-    return OrbitTrace(spec, B, data.get("steps", 0), seq, None)
+    steps = data.get("steps", 0)
+    if type(steps) is not int or steps < 0:
+        raise FormatError(f"field 'steps' must be a non-negative integer, got {steps!r}")
+    return OrbitTrace(spec, B, steps, seq, None)
 
 
 def trace_from_json(text: str) -> OrbitTrace:

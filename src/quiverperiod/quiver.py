@@ -7,6 +7,7 @@ b[i][j] arrows from i to j.  All values are immutable and all operations are pur
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -85,6 +86,9 @@ class ExchangeMatrix:
         for i in range(n):
             if len(self.rows[i]) != n:
                 raise QuiverError("matrix is not square")
+            for j, x in enumerate(self.rows[i]):
+                if type(x) is not int:
+                    raise QuiverError(f"entry b[{i + 1}][{j + 1}] must be an integer")
             if self.rows[i][i] != 0:
                 raise QuiverError(f"diagonal entry b[{i + 1}][{i + 1}] is nonzero")
             for j in range(i + 1, n):
@@ -93,6 +97,13 @@ class ExchangeMatrix:
                         f"not skew-symmetric at ({i + 1},{j + 1}): "
                         f"{self.rows[i][j]} vs {self.rows[j][i]}"
                     )
+
+    @staticmethod
+    def _unchecked(rows: tuple[tuple[int, ...], ...]) -> "ExchangeMatrix":
+        """No check: for integer rows skew-symmetric by construction."""
+        B = object.__new__(ExchangeMatrix)
+        object.__setattr__(B, "rows", rows)
+        return B
 
     @property
     def n(self) -> int:
@@ -111,7 +122,12 @@ class ExchangeMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "ExchangeMatrix":
-        return ExchangeMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        """The checked matrix of integer rows; numpy integers pass, while bools,
+        floats and strings are refused."""
+        return ExchangeMatrix(tuple(
+            tuple(_integer(x, i, j) for j, x in enumerate(row, 1))
+            for i, row in enumerate(rows, 1)
+        ))
 
     @staticmethod
     def zero(n: int) -> "ExchangeMatrix":
@@ -124,13 +140,23 @@ class ExchangeMatrix:
         for (i, j), v in entries.items():
             if not (1 <= i < j <= n):
                 raise QuiverError(f"bad entry index ({i},{j})")
-            rows[i - 1][j - 1] = int(v)
-            rows[j - 1][i - 1] = -int(v)
-        return ExchangeMatrix.from_rows(rows)
+            rows[i - 1][j - 1] = v = _integer(v, i, j)
+            rows[j - 1][i - 1] = -v
+        return ExchangeMatrix._unchecked(tuple(map(tuple, rows)))
 
     def __str__(self):
         width = max(len(str(x)) for row in self.rows for x in row)
         return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in self.rows)
+
+
+def _integer(x, i: int, j: int) -> int:
+    """Entry b[i][j] as an int: any integer type but bool."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise QuiverError(f"entry b[{i}][{j}] must be an integer")
 
 
 @dataclass(frozen=True)
@@ -219,7 +245,7 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
         raise QuiverError(f"vertex {k} out of range 1..{n}")
     k0 = k - 1
     pivot = B.rows[k0]
-    return ExchangeMatrix(tuple(
+    return ExchangeMatrix._unchecked(tuple(
         tuple(-x for x in row) if i == k0 else _mutate_row(row, pivot, k0)
         for i, row in enumerate(B.rows)
     ))
@@ -243,7 +269,8 @@ def permute(B: ExchangeMatrix, s: Permutation) -> ExchangeMatrix:
         raise QuiverError(f"degree mismatch: matrix {B.n}, permutation {s.n}")
     # inv[a] = s^-1(a + 1) - 1, so C[a][b] = B[inv[a]][inv[b]]
     inv = sorted(range(B.n), key=s.image.__getitem__)
-    return ExchangeMatrix(tuple([tuple([r[j] for j in inv]) for r in [B.rows[i] for i in inv]]))
+    rows = [B.rows[i] for i in inv]
+    return ExchangeMatrix._unchecked(tuple([tuple([r[j] for j in inv]) for r in rows]))
 
 
 def is_period1(B: ExchangeMatrix) -> bool:
@@ -268,7 +295,7 @@ def period1_from_row(row: Sequence[int]) -> ExchangeMatrix:
     fixing vertex 1 (i -> n+2-i) converts it to the permute() convention used
     throughout, without touching the (palindromic) first row.
     """
-    row = tuple(int(x) for x in row)
+    row = tuple(_integer(x, 1, j) for j, x in enumerate(row, 2))
     n = len(row) + 1
     for j in range(2, n + 1):
         # row index t holds b[1][t+1]
@@ -307,10 +334,11 @@ def mu1_partner(
     shape a second relabeling, the cycle (k',...,n), moves the mutation vertex
     to k'.
     """
-    if not is_period2(B, spec):
+    B1 = mutate(B, 1)
+    if permute(mutate(B1, spec.k), spec.sigma()) != B:
         raise QuiverError("input does not satisfy its period-2 equation")
     n, kp = spec.n, spec.partner_k()
-    B2 = permute(mutate(B, 1), Permutation.rotation(n) ** (1 - spec.k))
+    B2 = permute(B1, Permutation.rotation(n) ** (1 - spec.k))
     if spec.shape == TWO_CYCLE:
         B2 = permute(B2, Permutation.from_cycles(n, [list(range(kp, n + 1))]))
     return B2, Period2Spec(n, spec.shape, kp)
@@ -338,8 +366,8 @@ def find_relabeling(A: ExchangeMatrix, B: ExchangeMatrix) -> Permutation | None:
 
     if A.n != B.n:
         return None
-    for image in iterperms(range(1, A.n + 1)):
-        s = Permutation(A.n, image)
-        if permute(A, s) == B:
-            return s
+    # permute(A, s) == B iff b[s(i)][s(j)] = a[i][j], with s(i) = image[i] + 1
+    for image in iterperms(range(A.n)):
+        if all(a == tuple([B.rows[s][t] for t in image]) for a, s in zip(A.rows, image)):
+            return Permutation(A.n, tuple(i + 1 for i in image))
     return None

@@ -202,10 +202,31 @@ class SystemSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "SystemSpec":
-        if data.get("format") != "quiverperiod/system-v1":
+        """Load a system-v1 object; an error names the missing or malformed field."""
+        if not isinstance(data, dict) or data.get("format") != "quiverperiod/system-v1":
             raise QuiverError("not a quiverperiod/system-v1 object")
+        for name in ("kind", "n", "shape", "k", "b", "eq1", "eq2"):
+            if name not in data:
+                raise QuiverError(f"missing field {name!r}")
+        for name in ("n", "k"):
+            if type(data[name]) is not int:
+                raise QuiverError(f"field {name!r} must be an integer")
+        if not isinstance(data["b"], list) or not all(isinstance(r, list) for r in data["b"]):
+            raise QuiverError("field 'b' must be a list of integer rows")
 
-        def dec(obj):
+        def dec(label: str) -> EquationSpec:
+            obj = data[label]
+            for key, size, what in (
+                ("lhs", 2, "[seq, offset]"),
+                ("plus", 3, "[seq, offset, exponent]"),
+                ("minus", 3, "[seq, offset, exponent]"),
+            ):
+                items = obj.get(key) if isinstance(obj, dict) else None
+                if not isinstance(items, list) or not all(
+                    isinstance(x, list) and len(x) == size
+                    and isinstance(x[0], str) and isinstance(x[1], int) for x in items
+                ):
+                    raise QuiverError(f"field '{label}.{key}' must be a list of {what} lists")
             return EquationSpec(
                 lhs=tuple((s, o) for s, o in obj["lhs"]),
                 plus={(s, o): e for s, o, e in obj["plus"]},
@@ -217,8 +238,8 @@ class SystemSpec:
             data["kind"],
             spec,
             ExchangeMatrix.from_rows(data["b"]),
-            dec(data["eq1"]),
-            dec(data["eq2"]),
+            dec("eq1"),
+            dec("eq2"),
         )
 
 

@@ -1,0 +1,75 @@
+"""Every public entry point refuses a malformed exchange matrix.
+
+Matrices built by mutation, relabeling, negation and the solver skip the
+skew-symmetry check, so the check at each entry point is what keeps them valid.
+"""
+
+import pytest
+
+import quiverperiod.families as fm
+from quiverperiod import ExchangeMatrix, QuiverError, SystemSpec, extract_system
+from quiverperiod.formats import (
+    QUIVER_FORMAT,
+    SEED_FORMAT,
+    TRACE_FORMAT,
+    FormatError,
+    quiver_from_dict,
+    seed_from_dict,
+    trace_from_dict,
+)
+
+# case: (rows, the entries handed to from_entries, a fragment of the message)
+MALFORMED = {
+    "non-square": ([[0, 1], [-1]], {(1, 3): 1}, r"square|entries|index"),
+    "nonzero-diagonal": ([[1, 0], [0, 0]], {(1, 1): 1}, r"diagonal|index"),
+    "not-skew": ([[0, 1], [1, 0]], {(1, 2): 1, (2, 1): 1}, r"skew|index"),
+    "float-entry": ([[0, 1.5], [-1.5, 0]], {(1, 2): 1.5}, r"integer"),
+}
+
+
+def _system(rows):
+    """The n4-k2-1 T-system file with b replaced by rows (kept when rows is None)."""
+    family = fm.FAMILY_BY_KEY["n4-k2-1"]
+    data = extract_system(family.matrix(n=1), family.spec, "T").to_dict()
+    return data if rows is None else {**data, "b": rows}
+
+
+ENTRY_POINTS = {
+    "ExchangeMatrix": lambda rows, _: ExchangeMatrix(tuple(map(tuple, rows))),
+    "from_rows": lambda rows, _: ExchangeMatrix.from_rows(rows),
+    "from_entries": lambda _, entries: ExchangeMatrix.from_entries(2, entries),
+    "quiver": lambda rows, _: quiver_from_dict({"format": QUIVER_FORMAT, "n": 2, "b": rows}),
+    "seed": lambda rows, _: seed_from_dict(
+        {"format": SEED_FORMAT, "n": 2, "b": rows, "x": ["1", "1"], "y": ["1", "1"]}
+    ),
+    "trace": lambda rows, _: trace_from_dict(
+        {"format": TRACE_FORMAT, "n": 2, "shape": "1-cycle", "k": 2, "b": rows}
+    ),
+    "system": lambda rows, _: SystemSpec.from_dict(_system(rows)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_refuses_malformed_matrix(entry, case):
+    rows, entries, message = MALFORMED[case]
+    with pytest.raises((QuiverError, FormatError), match=message):
+        ENTRY_POINTS[entry](rows, entries)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_accepts_a_valid_matrix(entry):
+    # the same builders with well-formed input, so each refusal above is the
+    # matrix's doing (the system loader's n is 4, hence its own matrix)
+    rows = None if entry == "system" else [[0, 1], [-1, 0]]
+    ENTRY_POINTS[entry](rows, {(1, 2): 1})
+
+
+def test_from_rows_takes_numpy_integers_and_refuses_bools_and_strings():
+    np = pytest.importorskip("numpy")
+    B = ExchangeMatrix.from_rows(np.array([[0, 2], [-2, 0]], dtype=np.int16))
+    assert B == ExchangeMatrix(((0, 2), (-2, 0)))
+    assert all(type(x) is int for x in B.flatten())
+    for bad in (True, "2", 2.0):
+        with pytest.raises(QuiverError, match=r"entry b\[1\]\[2\] must be an integer"):
+            ExchangeMatrix.from_rows([[0, bad], [-2, 0]])

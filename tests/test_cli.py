@@ -433,6 +433,55 @@ def test_malformed_input_file_exit_2(case, tmp_path, capsys):
         assert err.startswith(f"error: {tmp_path / 'BAD'}: ")
 
 
+def _set(path, value):
+    """An edit of a system-v1 dict: set the item at path, or delete it when value is None."""
+
+    def edit(data):
+        *outer, last = path
+        for key in outer:
+            data = data[key]
+        if value is None:
+            del data[last]
+        else:
+            data[last] = value
+
+    return edit
+
+
+# case: (edit of the n4-k2-1 T-system file, the error after the path)
+SYSTEM_FILE_ERRORS = {
+    "b-half": (_set(["b", 0, 0], 0.5), "entry b[1][1] must be an integer"),
+    "b-string": (_set(["b", 0, 0], "0"), "entry b[1][1] must be an integer"),
+    "b-bool": (_set(["b", 0, 1], True), "entry b[1][2] must be an integer"),
+    "b-not-rows": (_set(["b"], 7), "field 'b' must be a list of integer rows"),
+    "no-b": (_set(["b"], None), "missing field 'b'"),
+    "no-eq2": (_set(["eq2"], None), "missing field 'eq2'"),
+    "k-string": (_set(["k"], "2"), "field 'k' must be an integer"),
+    "plus-pair": (
+        _set(["eq1", "plus"], [["z", 1]]),
+        "field 'eq1.plus' must be a list of [seq, offset, exponent] lists",
+    ),
+    "lhs-not-list": (_set(["eq2", "lhs"], 5), "field 'eq2.lhs' must be a list of [seq, offset] lists"),
+    "eq1-not-object": (_set(["eq1"], [1, 2]), "field 'eq1.lhs' must be a list of [seq, offset] lists"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYSTEM_FILE_ERRORS))
+def test_iterate_names_the_bad_system_field(case, tmp_path, capsys):
+    edit, message = SYSTEM_FILE_ERRORS[case]
+    data = json.loads(_n4_system())
+    edit(data)
+    (tmp_path / "sys.json").write_text(json.dumps(data))
+    (tmp_path / "init.json").write_text(_GOOD_INIT)
+    code, out, err = run_cli(
+        ["tsys", "iterate", "--system", str(tmp_path / "sys.json"),
+         "--init", str(tmp_path / "init.json"), "--steps", "2"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {tmp_path / 'sys.json'}: {message}\n"
+
+
 _LONG_TRACE = json.dumps({**_N4_TRACE, "z": ["1"] * 8, "y": ["1"] * 8})
 VACUOUS = {
     "horizon-negative": ["--template", "builtin:s81", "--horizon", "-5"],

@@ -111,6 +111,20 @@ def test_trace_round_trip_and_csv():
     assert any(line.startswith("1,y,") for line in lines)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+def test_quiver_n_must_be_an_integer(n):
+    with pytest.raises(FormatError, match="field 'n' must be a positive integer"):
+        quiver_from_json(json.dumps({"format": "quiverperiod/quiver-v1", "n": n, "b": [[0]]}))
+
+
+@pytest.mark.parametrize("steps", ["x", -5, True, 2.5, None])
+def test_trace_steps_must_be_a_non_negative_integer(steps):
+    data = json.loads(trace_to_json(run_orbit(Seed.ones(MARKOV), Period2Spec(3, ONE_CYCLE, 2), 2)))
+    assert trace_from_json(json.dumps(data)).steps == 2
+    with pytest.raises(FormatError, match="field 'steps' must be a non-negative integer"):
+        trace_from_json(json.dumps({**data, "steps": steps}))
+
+
 def test_dot_export():
     dot = quiver_to_dot(MARKOV)
     assert '1 -> 2 [label="2"]' in dot

@@ -85,6 +85,47 @@ class TestMutate:
             ExchangeMatrix.from_rows(M.rows)  # validates skew-symmetry
             assert mutate(M, k) == B
 
+    # mutate, permute and negate build their results unchecked; the checked
+    # constructor must accept every one of them, and each must equal its oracle
+    @given(matrices(), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_derived_matrices_pass_the_checked_constructor(self, B, data):
+        from quiverperiod.families import negate
+
+        s = Permutation(B.n, tuple(data.draw(st.permutations(range(1, B.n + 1)))))
+        flipped = ExchangeMatrix.from_rows([[-x for x in row] for row in B.rows])
+        derived = [(permute(B, s), permute_direct(B, s)), (negate(B), flipped)]
+        derived += [(mutate(B, k), arrow_mutate(B, k)) for k in range(1, B.n + 1)]
+        for M, oracle in derived:
+            assert ExchangeMatrix(M.rows) == M
+            assert all(type(x) is int for x in M.flatten())
+            assert M == oracle
+
+    def test_solver_outputs_and_partners_pass_the_checked_constructor(self):
+        from quiverperiod import SearchJob, search
+
+        specs = [
+            spec
+            for n in range(2, 6)
+            for shape in (ONE_CYCLE, TWO_CYCLE)
+            for spec in (Period2Spec(n, shape, k) for k in range(2, n + 1))
+            if spec.in_canonical_range()
+        ]
+        count = 0
+        for spec in specs:
+            n, k, kp = spec.n, spec.k, spec.partner_k()
+            rotation = permutation_power_direct(Permutation.rotation(n), 1 - k)
+            for B in search(SearchJob(spec, 2)):
+                assert ExchangeMatrix(B.rows) == B
+                partner, pspec = mu1_partner(B, spec)
+                assert ExchangeMatrix(partner.rows) == partner
+                want = permute_direct(arrow_mutate(B, 1), rotation)
+                if spec.shape == TWO_CYCLE:
+                    want = permute_direct(want, Permutation.from_cycles(n, [list(range(kp, n + 1))]))
+                assert partner == want and pspec == Period2Spec(n, spec.shape, kp)
+                count += 1
+        assert count > 300
+
 
 class TestEpsilon:
     def test_both_positive(self):
@@ -209,6 +250,11 @@ class TestPeriod1:
         assert period1_from_row((3,)) == ExchangeMatrix.from_rows([[0, 3], [-3, 0]])
         assert is_period1(period1_from_row((3,)))
 
+    @pytest.mark.parametrize("bad", [1.5, "2", True])
+    def test_entry_must_be_an_integer(self, bad):
+        with pytest.raises(QuiverError, match=r"entry b\[1\]\[3\] must be an integer"):
+            period1_from_row((1, bad, 1))
+
     def test_palindrome_violation(self):
         with pytest.raises(QuiverError):
             period1_from_row((1, 2, 3))
@@ -256,6 +302,26 @@ class TestMu1Partner:
             B3, spec3 = mu1_partner(B2, spec2)
             assert spec3 == spec
             assert find_relabeling(B3, B) is not None
+
+
+class TestFindRelabeling:
+    def test_first_relabeling_in_lex_order(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            A = random_matrix(rng, n, 2)
+            B = permute(A, Permutation(n, tuple(rng.sample(range(1, n + 1), n))))
+            if rng.random() < 0.3:
+                B = random_matrix(rng, n, 2)  # mostly not a relabeling of A
+            want = next(
+                (s for s in (Permutation(n, p) for p in permutations(range(1, n + 1)))
+                 if permute_direct(A, s) == B),
+                None,
+            )
+            assert find_relabeling(A, B) == want
+
+    def test_degree_mismatch_is_none(self):
+        assert find_relabeling(MARKOV, ExchangeMatrix.zero(4)) is None
 
 
 class TestConnected:
