@@ -5,6 +5,7 @@ from .quiver import (
     ONE_CYCLE,
     TWO_CYCLE,
     ExchangeMatrix,
+    Period2Error,
     Period2Spec,
     Permutation,
     QuiverError,

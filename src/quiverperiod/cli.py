@@ -1,7 +1,9 @@
 """Command-line interface: search, check, mutate, family verification,
 T/Y-system extraction and iteration, periodic quantities, reproduction suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes, decided in main alone: 0 success; 1 a failed check (a check that
+does not hold, a Period2Error or a ZeroDivisionError); 2 a usage or input
+error (any other QuiverError, a FormatError).  A CliError carries its own code.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .cluster import OrbitTrace, run_orbit
 from .quiver import (
     ONE_CYCLE,
     TWO_CYCLE,
+    Period2Error,
     Period2Spec,
     QuiverError,
     is_connected,
@@ -28,7 +31,6 @@ from .search import SearchJob, residual_report, search
 from .systems import (
     BUILTIN_TEMPLATES,
     DEFAULT_BIT_BUDGET,
-    SystemSpec,
     extract_system,
     iterate_system,
     parse_template,
@@ -59,20 +61,29 @@ class CliError(Exception):
 
 
 def _load(path: str, parse):
-    """parse applied to the text of path ('-' = stdin); a malformed file
-    names its path."""
+    """parse applied to the UTF-8 text of path ('-' = stdin); a malformed file
+    (any ValueError: QuiverError, FormatError) names its path."""
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path!r}: {exc}")
     try:
         return parse(text)
-    except (ValueError, TypeError, AttributeError, KeyError, QuiverError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}")
+
+
+def _write(path: str, write) -> None:
+    """write(fh) on path opened for writing; a failure names the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise CliError(f"cannot write {path!r}: {exc}")
 
 
 def _spec_from_args(args, n: int) -> Period2Spec:
@@ -80,16 +91,14 @@ def _spec_from_args(args, n: int) -> Period2Spec:
 
 
 def _default_jobs() -> int:
-    env = os.environ.get("QUIVERPERIOD_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise CliError(f"QUIVERPERIOD_JOBS={env!r} is not an integer")
-        if jobs < 1:
-            raise CliError(f"QUIVERPERIOD_JOBS must be >= 1, got {jobs}")
-        return jobs
-    return 1
+    env = os.environ.get("QUIVERPERIOD_JOBS") or "1"
+    try:
+        jobs = int(env)
+    except ValueError:
+        raise CliError(f"QUIVERPERIOD_JOBS={env!r} is not an integer")
+    if jobs < 1:
+        raise CliError(f"QUIVERPERIOD_JOBS must be >= 1, got {jobs}")
+    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +111,14 @@ def cmd_mutate(args) -> int:
     for v in args.at:
         B = mutate(B, v)
     if args.dot:
-        try:
-            with open(args.dot, "w") as fh:
-                fh.write(formats.quiver_to_dot(B) + "\n")
-        except OSError as exc:
-            raise CliError(f"cannot write {args.dot!r}: {exc}")
+        _write(args.dot, lambda fh: fh.write(formats.quiver_to_dot(B) + "\n"))
     print(formats.quiver_to_json(B))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
+    if args.shape and args.k is None:
+        raise CliError("--k is required with --shape")
     B = _load(args.quiver, formats.quiver_from_json)
     notes = [] if is_connected(B) else ["disconnected"]
     if args.period1:
@@ -169,11 +176,7 @@ def _print_report(report: Report, fmt: str, header: dict, summary: str) -> int:
 
 def cmd_tsys_extract(args) -> int:
     B = _load(args.quiver, formats.quiver_from_json)
-    spec = _spec_from_args(args, B.n)
-    try:
-        sys_spec = extract_system(B, spec, args.kind.upper())
-    except QuiverError as exc:
-        raise CliError(str(exc), code=EXIT_VERIFY)
+    sys_spec = extract_system(B, _spec_from_args(args, B.n), args.kind)
     if args.format == "structured":
         print(json.dumps(sys_spec.to_dict(), indent=2))
     else:
@@ -182,15 +185,10 @@ def cmd_tsys_extract(args) -> int:
 
 
 def cmd_tsys_iterate(args) -> int:
-    sys_spec = _load(args.system, lambda text: SystemSpec.from_dict(json.loads(text)))
+    sys_spec = _load(args.system, formats.system_from_json)
     window = _load(args.init, formats.window_from_json)
     Z = _load(args.z, formats.window_from_json) if args.z else None
-    try:
-        seqs = iterate_system(
-            sys_spec, window, args.steps, Z=Z, bit_budget=args.bit_budget
-        )
-    except ZeroDivisionError as exc:
-        raise CliError(str(exc), code=EXIT_VERIFY)
+    seqs = iterate_system(sys_spec, window, args.steps, Z=Z, bit_budget=args.bit_budget)
     reached = len(seqs["z"]) - required_window(sys_spec)["z"]
     if reached < args.steps:
         raise CliError(
@@ -222,13 +220,7 @@ def cmd_tsys_verify_periodic(args) -> int:
     if horizon is None:
         length = min(len(trace.seq["z"]), len(trace.seq["y"]))
         horizon = length - tmpl.max_offset() - tmpl.claimed_period
-    try:
-        row = verify_periodic(trace.seq, tmpl, horizon)
-    except ZeroDivisionError as exc:
-        raise CliError(str(exc), code=EXIT_VERIFY)
-    except QuiverError as exc:  # a trace too short fails; a vacuous check is misuse
-        vacuous = min(horizon, tmpl.claimed_period) < 1
-        raise CliError(str(exc), code=EXIT_USAGE if vacuous else EXIT_VERIFY)
+    row = verify_periodic(trace.seq, tmpl, horizon)
     print(f"{row.label}: {row.detail or 'periodic'}")
     return EXIT_OK if row.ok else EXIT_VERIFY
 
@@ -260,19 +252,9 @@ def cmd_reproduce(args) -> int:
 
 def cmd_orbit(args) -> int:
     seed = _load(args.seed, formats.seed_from_json)
-    spec = _spec_from_args(args, seed.B.n)
-    if args.steps < 0:
-        raise CliError("steps must be >= 0")
-    try:
-        trace = run_orbit(seed, spec, args.steps, keep_states=False)
-    except (QuiverError, ZeroDivisionError) as exc:
-        raise CliError(str(exc), code=EXIT_VERIFY)
+    trace = run_orbit(seed, _spec_from_args(args, seed.B.n), args.steps, keep_states=False)
     if args.csv:
-        try:
-            with open(args.csv, "w") as fh:
-                formats.trace_to_csv(trace, fh)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.csv!r}: {exc}")
+        _write(args.csv, lambda fh: formats.trace_to_csv(trace, fh))
     print(formats.trace_to_json(trace))
     return EXIT_OK
 
@@ -378,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "check" and not args.period1:
-        if args.k is None:
-            parser.error("--k is required with --shape")
     # exact values and traces routinely exceed the default 4300-digit limit
     # on int/str conversion (Python 3.11+); lift it for this call only
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -388,12 +367,11 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, QuiverError, formats.FormatError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (QuiverError, formats.FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, CliError):
+            return exc.code
+        return EXIT_VERIFY if isinstance(exc, (Period2Error, ZeroDivisionError)) else EXIT_USAGE
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -31,6 +31,7 @@ from typing import Sequence
 
 from .quiver import (
     ExchangeMatrix,
+    Period2Error,
     Period2Spec,
     QuiverError,
     is_period2,
@@ -565,6 +566,8 @@ class Seed:
         n = self.B.n
         if len(self.x) != n or len(self.y) != n:
             raise QuiverError("cluster sizes must equal the vertex count")
+        if not all(type(v) is int or isinstance(v, (Fraction, LaurentPoly)) for v in self.x):
+            raise QuiverError("x-values must be rational or Laurent polynomials")
         for v in self.y:
             if not isinstance(v, (int, Fraction)):
                 raise QuiverError("y-values must be rational")
@@ -879,15 +882,14 @@ def run_orbit(
     if steps < 0:
         raise QuiverError("steps must be >= 0")
     if not is_period2(s0.B, spec):
-        raise QuiverError("seed matrix does not satisfy the period-2 equation")
+        raise Period2Error("seed matrix does not satisfy the period-2 equation")
     n = spec.n
     seq: dict[str, list] = {"z": [], "y": [], "A": [], "B": []}
     states = [s0] if keep_states else None
     if s0.symbolic and s0 != Seed.initial(s0.B):
         raise QuiverError("a symbolic orbit starts from Seed.initial(B)")
     sep = _Separation(s0.B) if s0.symbolic else None
-    numeric = all(isinstance(v, (int, Fraction)) for v in s0.x)
-    x = _lift_all(s0.x)[0] if numeric else list(s0.x)
+    x = list(s0.x) if sep else _lift_all(s0.x)[0]
     y0, (one,) = _lift_all(s0.y, [1])
     F, C, B = [one] * n, [[int(i == j) for j in range(n)] for i in range(n)], s0.B
     ys = list(s0.y)  # each slot's last y, None from a mutation touching it to its next read

@@ -1,5 +1,5 @@
-"""Versioned file formats (quiver-v1, seed-v1, trace-v1), system windows
-and DOT export."""
+"""Versioned file formats (quiver-v1, seed-v1, trace-v1, system-v1), system
+windows and DOT export."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from typing import IO
 
 from .cluster import OrbitTrace, Seed
 from .quiver import ExchangeMatrix, Period2Spec, QuiverError
+from .systems import SystemSpec
 
 QUIVER_FORMAT = "quiverperiod/quiver-v1"
 SEED_FORMAT = "quiverperiod/seed-v1"
@@ -57,6 +58,10 @@ def quiver_from_dict(data: dict) -> ExchangeMatrix:
 
 def quiver_from_json(text: str) -> ExchangeMatrix:
     return quiver_from_dict(_loads(text))
+
+
+def system_from_json(text: str) -> SystemSpec:
+    return SystemSpec.from_dict(_loads(text))
 
 
 def _frac_str(v) -> str:

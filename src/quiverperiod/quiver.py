@@ -19,6 +19,10 @@ class QuiverError(ValueError):
     pass
 
 
+class Period2Error(QuiverError):
+    """A matrix that does not satisfy the period-2 equation it is used with."""
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of {1..n}, stored as the image tuple (image[i-1] = s(i))."""
@@ -83,9 +87,9 @@ class ExchangeMatrix:
 
     def __post_init__(self):
         n = len(self.rows)
+        if any(len(row) != n for row in self.rows):
+            raise QuiverError("matrix is not square")
         for i in range(n):
-            if len(self.rows[i]) != n:
-                raise QuiverError("matrix is not square")
             for j, x in enumerate(self.rows[i]):
                 if type(x) is not int:
                     raise QuiverError(f"entry b[{i + 1}][{j + 1}] must be an integer")
@@ -336,7 +340,7 @@ def mu1_partner(
     """
     B1 = mutate(B, 1)
     if permute(mutate(B1, spec.k), spec.sigma()) != B:
-        raise QuiverError("input does not satisfy its period-2 equation")
+        raise Period2Error("input does not satisfy its period-2 equation")
     n, kp = spec.n, spec.partner_k()
     B2 = permute(B1, Permutation.rotation(n) ** (1 - spec.k))
     if spec.shape == TWO_CYCLE:

@@ -16,7 +16,7 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -25,6 +25,7 @@ from .quiver import (
     ONE_CYCLE,
     TWO_CYCLE,
     ExchangeMatrix,
+    Period2Error,
     Period2Spec,
     QuiverError,
     is_period2,
@@ -227,6 +228,9 @@ class SystemSpec:
                     and isinstance(x[0], str) and isinstance(x[1], int) for x in items
                 ):
                     raise QuiverError(f"field '{label}.{key}' must be a list of {what} lists")
+                slots = [(x[0], x[1]) for x in items]
+                if key != "lhs" and (twice := next((s for s in slots if slots.count(s) > 1), None)):
+                    raise QuiverError(f"field '{label}.{key}' lists slot {list(twice)!r} twice")
             return EquationSpec(
                 lhs=tuple((s, o) for s, o in obj["lhs"]),
                 plus={(s, o): e for s, o, e in obj["plus"]},
@@ -249,7 +253,7 @@ def _checked(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> tuple[str, Exch
     if kind not in ("T", "Y", "TZ"):
         raise QuiverError(f"unknown system kind {kind!r}")
     if not is_period2(B, spec):
-        raise QuiverError("matrix does not satisfy the period-2 equation")
+        raise Period2Error("matrix does not satisfy the period-2 equation")
     return kind, mutate(B, 1)
 
 
@@ -500,34 +504,6 @@ def _mono(coeff: int, *factors: tuple[str, int, int]) -> Monomial:
     return (coeff, tuple(sorted(((seq, off), e) for seq, off, e in factors)))
 
 
-BUILTIN_TEMPLATES: dict[str, PeriodicQuantityTemplate] = {
-    "s81": PeriodicQuantityTemplate(
-        "s81", (_mono(1, ("y", 0, 1)),), (_mono(1, ("z", 1, 1)),), 2
-    ),
-    "s82": PeriodicQuantityTemplate(
-        "s82", (_mono(1, ("z", 0, 1)), _mono(1, ("z", 3, 1))), (_mono(1, ("y", 0, 1)),), 1
-    ),
-    "s83": PeriodicQuantityTemplate(
-        "s83",
-        (_mono(1, ("y", 0, 1), ("y", 2, 1)), _mono(1, ("y", 1, 1))),
-        (_mono(1, ("z", 1, 1), ("z", 2, 1)),),
-        1,
-    ),
-    "s84": PeriodicQuantityTemplate(
-        "s84", (_mono(1, ("z", 0, 1)), _mono(1, ("z", 3, 1))), (_mono(1, ("y", 1, 1)),), 1
-    ),
-    "s85": PeriodicQuantityTemplate(
-        "s85", (_mono(1, ("z", 0, 1)), _mono(1)), (_mono(1, ("y", 0, 1), ("y", 2, 1)),), 2
-    ),
-    "s86": PeriodicQuantityTemplate(
-        "s86",
-        (_mono(1, ("y", 0, 1), ("y", 1, 1)), _mono(1, ("y", 3, 1), ("y", 4, 1))),
-        (_mono(1, ("z", 1, 1)),),
-        1,
-    ),
-}
-
-
 _FACTOR = r"([zyAB])\(q(?:\+(\d+))?\)(?:\^(-?\d+))?"
 _TERM_RE = re.compile(rf"(?:(\d+)\*?)?((?:{_FACTOR}\*?)*)")
 
@@ -585,6 +561,20 @@ def parse_template(text: str, claimed_period: int = 1) -> PeriodicQuantityTempla
 
     num, den = parse_side(num_text), parse_side(den_text)
     return PeriodicQuantityTemplate("custom", num, den, claimed_period)
+
+
+# the periodic quantities of the section 8 reductions: (tag, expression, period)
+BUILTIN_TEMPLATES: dict[str, PeriodicQuantityTemplate] = {
+    tag: replace(parse_template(text, period), name=tag)
+    for tag, text, period in (
+        ("s81", "y(q)/z(q+1)", 2),
+        ("s82", "(z(q)+z(q+3))/y(q)", 1),
+        ("s83", "(y(q)*y(q+2)+y(q+1))/(z(q+1)*z(q+2))", 1),
+        ("s84", "(z(q)+z(q+3))/y(q+1)", 1),
+        ("s85", "(z(q)+1)/(y(q)*y(q+2))", 2),
+        ("s86", "(y(q)*y(q+1)+y(q+3)*y(q+4))/z(q+1)", 1),
+    )
+}
 
 
 def verify_periodic(

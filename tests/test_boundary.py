@@ -24,6 +24,7 @@ MALFORMED = {
     "nonzero-diagonal": ([[1, 0], [0, 0]], {(1, 1): 1}, r"diagonal|index"),
     "not-skew": ([[0, 1], [1, 0]], {(1, 2): 1, (2, 1): 1}, r"skew|index"),
     "float-entry": ([[0, 1.5], [-1.5, 0]], {(1, 2): 1.5}, r"integer"),
+    "ragged": ([[0, 1], []], {(2, 1): 1}, r"square|entries|index"),
 }
 
 

@@ -121,6 +121,10 @@ class TestCheckCommand:
         assert code == 1
         assert "case" in out and "residual" in out
 
+    def test_shape_without_k_exit_2(self, markov_file, capsys):
+        code, out, err = run_cli(["check", "--quiver", markov_file, "--shape", "1cycle"], capsys)
+        assert (code, out, err) == (2, "", "error: --k is required with --shape\n")
+
     def test_period1(self, tmp_path, capsys):
         from quiverperiod import period1_from_row
 
@@ -173,6 +177,14 @@ class TestSearchCommand:
         monkeypatch.delenv("QUIVERPERIOD_JOBS", raising=False)
         args = ["search", "--n", "3", "--shape", "1cycle", "--k", "2", "--bound", "1"]
         assert run_cli(args + ["--jobs", "0"], capsys) == run_cli(args, capsys)
+
+    def test_jobs_env_sets_the_default(self, monkeypatch, capsys):
+        args = ["search", "--n", "4", "--shape", "2cycle", "--k", "3", "--bound", "1"]
+        monkeypatch.delenv("QUIVERPERIOD_JOBS", raising=False)
+        base = run_cli(args, capsys)
+        monkeypatch.setenv("QUIVERPERIOD_JOBS", "2")
+        assert run_cli(args, capsys) == base
+        assert base[0] == 0 and base[2].startswith("# ")
 
     @pytest.mark.parametrize("env", ["-3", "0"])
     def test_nonpositive_jobs_env_exit_2(self, env, monkeypatch, capsys):
@@ -433,6 +445,90 @@ def test_malformed_input_file_exit_2(case, tmp_path, capsys):
         assert err.startswith(f"error: {tmp_path / 'BAD'}: ")
 
 
+_N4_SEED = {"format": "quiverperiod/seed-v1", "n": 4, "b": _N4_TRACE["b"],
+            "x": ["1"] * 4, "y": ["1"] * 4}
+_LONG_TRACE = json.dumps({**_N4_TRACE, "z": ["1"] * 8, "y": ["1"] * 8})
+
+# the file options of every subcommand: (a command line that exits 0 when
+# BAD holds the valid contents, the other files it reads, the valid contents)
+FILE_OPTIONS = {
+    "mutate --quiver": (["mutate", "--quiver", "BAD", "--at", "1"], {}, MARKOV_JSON),
+    "check --quiver": (
+        ["check", "--quiver", "BAD", "--shape", "1cycle", "--k", "2"], {}, MARKOV_JSON
+    ),
+    "tsys extract --quiver": (
+        ["tsys", "extract", "--quiver", "BAD", "--shape", "1cycle", "--k", "2", "--kind", "y"],
+        {}, MARKOV_JSON,
+    ),
+    "orbit --seed": (
+        ["orbit", "--seed", "BAD", "--shape", "1cycle", "--k", "2", "--steps", "2"],
+        {}, json.dumps(_N4_SEED),
+    ),
+    "tsys iterate --system": (_BAD_SYSTEM, {"INIT": _GOOD_INIT}, _n4_system()),
+    "tsys iterate --init": (_BAD_INIT, {"SYS": _n4_system()}, _GOOD_INIT),
+    "tsys iterate --z": (
+        _BAD_INIT[:5] + ["INIT", "--z", "BAD", "--steps", "2"],
+        {"SYS": _n4_system({"kind": "TZ"}), "INIT": _GOOD_INIT},
+        json.dumps({"z": ["1", "2"], "y": ["1", "3"]}),
+    ),
+    "tsys verify-periodic --trace": (_VERIFY, {}, _LONG_TRACE),
+}
+
+
+def _bad_file(case, valid):
+    """The bytes of a bad input file made from the valid contents."""
+    data = json.loads(valid)
+    if case == "format-tag":
+        data["format"] = "quiverperiod/bogus-v1"
+    elif case == "ragged-b":
+        data["b"][1] = []
+    return {
+        "non-utf8": b'{"b": "\xff"}',
+        "invalid-json": b"{broken",
+        "json-list": b"[1, 2]",
+    }.get(case, json.dumps(data).encode())
+
+
+# a window file (--init, --z) has no format tag and no matrix
+BAD_FILE_CASES = [
+    (option, case)
+    for option, (_, _, valid) in FILE_OPTIONS.items()
+    for case in ("missing", "directory", "non-utf8", "invalid-json", "json-list",
+                 "format-tag", "ragged-b")
+    if "format" in json.loads(valid) or case not in ("format-tag", "ragged-b")
+]
+
+
+def _file_argv(option, tmp_path):
+    """The option's command line with every placeholder a path in tmp_path,
+    and the other files written."""
+    argv, others, _ = FILE_OPTIONS[option]
+    for name, text in others.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / arg) if arg in others or arg == "BAD" else arg for arg in argv]
+
+
+@pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
+def test_file_option_accepts_its_valid_file(option, tmp_path, capsys):
+    # so that each refusal below is the bad file's doing
+    (tmp_path / "BAD").write_text(FILE_OPTIONS[option][2])
+    code, out, err = run_cli(_file_argv(option, tmp_path), capsys)
+    assert code == 0 and out and err == "", err
+
+
+@pytest.mark.parametrize("option, case", BAD_FILE_CASES)
+def test_bad_input_file_exit_2(option, case, tmp_path, capsys):
+    path = tmp_path / "BAD"
+    if case == "directory":
+        path.mkdir()
+    elif case != "missing":
+        path.write_bytes(_bad_file(case, FILE_OPTIONS[option][2]))
+    code, out, err = run_cli(_file_argv(option, tmp_path), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and str(path) in err
+
+
 def _set(path, value):
     """An edit of a system-v1 dict: set the item at path, or delete it when value is None."""
 
@@ -463,6 +559,10 @@ SYSTEM_FILE_ERRORS = {
     ),
     "lhs-not-list": (_set(["eq2", "lhs"], 5), "field 'eq2.lhs' must be a list of [seq, offset] lists"),
     "eq1-not-object": (_set(["eq1"], [1, 2]), "field 'eq1.lhs' must be a list of [seq, offset] lists"),
+    "plus-repeated-slot": (
+        _set(["eq1", "plus"], [["y", 0, 1], ["z", 1, 1], ["y", 0, 5]]),
+        "field 'eq1.plus' lists slot ['y', 0] twice",
+    ),
 }
 
 
@@ -482,7 +582,6 @@ def test_iterate_names_the_bad_system_field(case, tmp_path, capsys):
     assert err == f"error: {tmp_path / 'sys.json'}: {message}\n"
 
 
-_LONG_TRACE = json.dumps({**_N4_TRACE, "z": ["1"] * 8, "y": ["1"] * 8})
 VACUOUS = {
     "horizon-negative": ["--template", "builtin:s81", "--horizon", "-5"],
     "horizon-zero": ["--template", "builtin:s81", "--horizon", "0"],
@@ -508,6 +607,18 @@ def test_period_only_for_expression_templates(tmp_path, capsys):
     assert err == "error: --period applies to expression templates only; s81 has its own\n"
     code, out, _ = run_cli(argv + ["--template", "z(q)/y(q)"], capsys)
     assert code == 0 and out == "custom: period 1 over 7 steps: periodic\n"
+
+
+def test_horizon_beyond_the_trace_exit_2(tmp_path, capsys):
+    # the 8-value trace serves s81 (max offset 1, period 2) up to horizon 5
+    (tmp_path / "trace.json").write_text(_LONG_TRACE)
+    argv = ["tsys", "verify-periodic", "--trace", str(tmp_path / "trace.json"),
+            "--template", "builtin:s81", "--horizon"]
+    code, out, err = run_cli(argv + ["5"], capsys)
+    assert code == 0 and out == "s81: period 2 over 5 steps: periodic\n"
+    code, out, err = run_cli(argv + ["6"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: trace too short: template needs 9 values")
 
 
 def test_vanishing_template_denominator_exit_1(tmp_path, capsys):
@@ -576,6 +687,16 @@ class TestOrbitCommand:
 
 
 class TestVerifyTheorem:
+    def test_structured_success(self, capsys):
+        code, out, err = run_cli(
+            ["verify-theorem", "--name", "N3", "--max-param", "1", "--bound", "1",
+             "--format", "structured"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["theorem"] == "N3" and data["ok"] is True and data["checks"]
+
     def test_negative_max_param_exit_2(self, capsys):
         code, out, err = run_cli(
             ["verify-theorem", "--name", "thm4", "--max-param", "-1"], capsys

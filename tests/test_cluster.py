@@ -289,6 +289,16 @@ class TestSeedMutation:
         with pytest.raises(ZeroDivisionError):
             mutate_seed(s, 1)
 
+    @pytest.mark.parametrize("x", [(0.5, 1.0, 2.0), (True, 1, 1), ("1", 1, 1)],
+                             ids=["float", "bool", "string"])
+    def test_cluster_values_are_exact(self, x):
+        # a float seed once ran, and returned float z/y values
+        B = ExchangeMatrix.zero(3)
+        with pytest.raises(QuiverError, match="x-values must be rational"):
+            Seed(B, x, (1, 1, 1))
+        assert run_orbit(Seed(B, (F(1, 2), 1, 2), (1, 1, 1)), Period2Spec(3, ONE_CYCLE, 2),
+                         4).seq["z"] == [F(1, 2), 2]
+
     def test_y_positivity_required(self):
         B = ExchangeMatrix.from_rows([[0, 1], [-1, 0]])
         with pytest.raises(QuiverError):

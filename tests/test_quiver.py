@@ -9,10 +9,13 @@ from quiverperiod import (
     ONE_CYCLE,
     TWO_CYCLE,
     ExchangeMatrix,
+    Period2Error,
     Period2Spec,
     Permutation,
     QuiverError,
+    Seed,
     epsilon,
+    extract_system,
     find_relabeling,
     is_connected,
     is_period1,
@@ -21,6 +24,8 @@ from quiverperiod import (
     mutate,
     period1_from_row,
     permute,
+    run_orbit,
+    tabulate_system,
 )
 
 from oracles import arrow_mutate, permutation_power_direct, permute_direct
@@ -337,3 +342,27 @@ class TestConnected:
 
     def test_single_vertex(self):
         assert is_connected(ExchangeMatrix.zero(1))
+
+
+_NOT_PERIOD2 = (ExchangeMatrix.from_entries(3, {(1, 2): 1}), Period2Spec(3, ONE_CYCLE, 2))
+PERIOD2_CHECKS = {
+    "mu1_partner": lambda B, spec: mu1_partner(B, spec),
+    "run_orbit": lambda B, spec: run_orbit(Seed.ones(B), spec, 2),
+    "extract_system": lambda B, spec: extract_system(B, spec, "T"),
+    "tabulate_system": lambda B, spec: tabulate_system(B, spec, "Y"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(PERIOD2_CHECKS))
+def test_a_failed_period2_equation_raises_period2_error(check):
+    # the one type for "this matrix is not period 2 for this spec", which the
+    # CLI maps to exit 1; a QuiverError still, for library callers
+    with pytest.raises(Period2Error, match="period-2 equation") as info:
+        PERIOD2_CHECKS[check](*_NOT_PERIOD2)
+    assert isinstance(info.value, QuiverError)
+
+
+def test_a_malformed_request_is_not_a_period2_error():
+    with pytest.raises(QuiverError) as info:
+        extract_system(MARKOV, Period2Spec(3, ONE_CYCLE, 2), "Q")
+    assert not isinstance(info.value, Period2Error)
