@@ -15,6 +15,8 @@ an F-polynomial, which follow their own exchange rules.  F-polynomials have
 nonnegative coefficients (Lee-Schiffler, Ann. of Math. 2015), each at most
 F(1), so along one variable a whole fiber of terms packs into one integer
 (Kronecker substitution) and a product of fibers is one integer product.
+_orbit is the one loop along an orbit: run_orbit records its seeds, and
+laurent_check reads only its x-values (no y is formed, no Seed built).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import heapq
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, count, pairwise, repeat
 from math import gcd, isqrt, prod
 from operator import mul
 from struct import unpack
@@ -569,7 +571,7 @@ class Seed:
         if not all(type(v) is int or isinstance(v, (Fraction, LaurentPoly)) for v in self.x):
             raise QuiverError("x-values must be rational or Laurent polynomials")
         for v in self.y:
-            if not isinstance(v, (int, Fraction)):
+            if not (type(v) is int or isinstance(v, Fraction)):
                 raise QuiverError("y-values must be rational")
             if v <= 0:
                 raise QuiverError("y-values must be strictly positive")
@@ -734,8 +736,17 @@ def _fold(terms: dict, nvars: int, shift: int, s: int) -> tuple[int, LaurentPoly
     for key, c in terms.items():
         e = key & mask
         outer = key - e + (_BIAS << shift)
-        fibers[outer] = fibers.get(outer, 0) | c << (s * ((e - low) >> shift))
+        fibers[outer] = fibers.get(outer, 0) + (c << (s * ((e - low) >> shift)))
     return (low >> shift) - _BIAS, LaurentPoly._raw(nvars, fibers)
+
+
+def _slots(v, s: int):
+    """The s-bit slots of the packed F-fiber v, least first (bytes for s = 8)."""
+    if type(v) is not int or v < 0:
+        raise NonLaurentError("an F-polynomial left the positive integers: a bug")
+    w, slots = s // 8, -(-v.bit_length() // s)
+    cs = v.to_bytes(slots * w, "little")
+    return cs if w == 1 else list(map(int.from_bytes, unpack(f"{w}s" * slots, cs), repeat("little")))
 
 
 class _Separation:
@@ -745,11 +756,12 @@ class _Separation:
 
     g_i and F_i start at e_i and 1 and follow (6.13) and Prop. 5.1 there,
     with the c-vectors of run_orbit.  g_i is a packed exponent difference and
-    F_i a dict of packed exponents in variables z, with z = y until the first
-    exchange whose F has more terms than its x: B0 is singular, and F-terms a
-    kernel vector apart meet in x.  Then every F moves to z = P y for
-    B0 = H P (_split), where distinct z-exponents have distinct x-exponents
-    H z.  Moving from the start is slower.
+    F_i a polynomial in variables z, with z = y until the first exchange
+    whose F has more terms than its x: B0 is singular, and F-terms a kernel
+    vector apart meet in x.  Then every F moves to z = P y for B0 = H P
+    (_split), where distinct z-exponents have distinct x-exponents H z.
+    Moving from the start is slower.  F_i stays as its exchange's quotient
+    fibers (low, j, s, quo) until another fold, or the move, expands it once.
     """
 
     def __init__(self, B0: ExchangeMatrix):
@@ -760,8 +772,23 @@ class _Separation:
         self.injective = len(self.HP[0]) == n  # distinct z-keys, distinct x-keys
         self.P: list[list[int]] | None = None  # once the F have moved
         self.g = [1 << (_LIMB * i) for i in range(n)]
-        self.F = [{_pack_zero(n): 1} for _ in range(n)]
+        self.F: list = [{_pack_zero(n): 1} for _ in range(n)]
         self.span = [[0] * n for _ in range(n)]
+
+    def _terms(self, i: int) -> dict[int, int]:
+        """F_i as a dict of packed z-exponents, expanded in place once."""
+        if type(self.F[i]) is tuple:
+            low, j, s, quo = self.F[i]
+            unit = 1 << (_LIMB * j)
+            self.F[i] = {key: c for outer, v in quo._terms.items()
+                         for key, c in zip(count(outer + low * unit, unit), _slots(v, s)) if c}
+        return self.F[i]
+
+    def _folded(self, i: int, j: int, s: int) -> tuple[int, LaurentPoly]:
+        """F_i folded along z_j in s-bit slots, as _fold gives it."""
+        if type(F := self.F[i]) is tuple and F[1:3] == (j, s):
+            return F[0], F[3]
+        return _fold(self._terms(i), self.n, _LIMB * j, s)
 
     def _y(self, i: int, shift: int) -> tuple[int, LaurentPoly]:
         """y_i = z^(P e_i) folded along the z at bit `shift` of the keys."""
@@ -780,9 +807,9 @@ class _Separation:
         self.h = [_delta(col) for col in H] + [0] * (n - len(H))
         images = [_delta([row[j] for row in P]) for j in range(n)]  # the z-exponent of y_j
         base, limbs = _pack_zero(n) - _BIAS * sum(images), range(0, _LIMB * n, _LIMB)
-        for i, terms in enumerate(self.F):
+        for i in range(n):
             out: dict[int, int] = {}
-            for key, c in terms.items():
+            for key, c in self._terms(i).items():
                 key = base + sum(map(mul, map(_MASK.__and__, map(key.__rshift__, limbs)), images))
                 out[key] = out.get(key, 0) + c
             self.F[i], self.span[i] = out, _spans(out, n)
@@ -804,7 +831,7 @@ class _Separation:
         # the F-value exchange of run_orbit on y_1..y_n, F_1..F_n, folded along
         # z_j: each as (least exponent of z_j, packed polynomial)
         weights = ccol + col
-        folded = {i: _fold(self.F[i - n], n, shift, s) if i >= n else self._y(i, shift)
+        folded = {i: self._folded(i - n, j, s) if i >= n else self._y(i, shift)
                   for i, w in enumerate(weights) if w or i == n + k}
         m_in, m_out = _monomials(LaurentPoly._raw(n, {_pack_zero(n): 1}),
                                  [(folded[i][1], w) for i, w in enumerate(weights) if w])
@@ -814,34 +841,25 @@ class _Separation:
         quo = (m_in * (1 << s * (lo_in - low)) + m_out * (1 << s * (lo_out - low))).divide(den)
         if quo is None:
             raise NonLaurentError("an exchange left the Laurent ring: from an initial seed, a bug")
-        F, x, self.span[k] = self._unfold(quo, low - dlow, j, s, f1, _pack_zero(n) + g[k])
-        self.F[k] = F
-        if self.P is None and len(F) > len(x):
+        x, terms, self.span[k] = self._unfold(quo, low - dlow, j, s, f1, _pack_zero(n) + g[k])
+        self.F[k] = (low - dlow, j, s, quo)
+        if self.P is None and terms > len(x):
             self._collapse()
         return LaurentPoly._raw(n, x)
 
     def _unfold(self, quo: LaurentPoly, low: int, j: int, s: int, f1: int, gkey: int):
-        """The F-terms, x-terms and per-variable F-spans of the folded
-        quotient, whose fibers start at z_j^low; a step along a fiber moves a
-        z-key by z_j and an x-key by h_j, the image of z_j."""
-        unit, hj, w = 1 << (_LIMB * j), self.h[j], s // 8
-        F: dict[int, int] = {}
-        x: dict[int, int] = {}
-        total, outers, top = 0, [], 0
+        """The x-terms, the F-term count and the per-variable F-spans of the
+        folded quotient, whose fibers start at z_j^low; a step along a fiber
+        moves an x-key by h_j, the image of z_j."""
+        h, hj, limbs = self.h, self.h[j], range(0, _LIMB * self.n, _LIMB)
+        base = gkey + low * hj - _BIAS * sum(h)
+        x, total, terms, top = {}, 0, 0, 0
         for outer, v in quo._terms.items():
-            if type(v) is not int or v < 0:
-                raise NonLaurentError("an F-polynomial left the positive integers: a bug")
-            slots = -(-v.bit_length() // s)
-            cs = v.to_bytes(slots * w, "little")
-            if w > 1:
-                cs = list(map(int.from_bytes, unpack(f"{w}s" * slots, cs), repeat("little")))
-            total, top = total + sum(cs), max(top, slots)
-            outers.append(m := _unpack(outer, self.n))
-            zkey = outer + low * unit
-            xkey = gkey + low * hj + sum(e * h for e, h in zip(m, self.h) if e)
-            F.update(compress(zip(range(zkey, zkey + slots * unit, unit), cs), cs))
+            cs = _slots(v, s)
+            total, terms, top = total + sum(cs), terms + len(cs) - cs.count(0), max(top, len(cs))
+            xkey = base + sum(map(mul, map(_MASK.__and__, map(outer.__rshift__, limbs)), h))
             if self.injective and hj:  # hj = 0 only for a z_j fixed at 0
-                x.update(compress(zip(range(xkey, xkey + slots * hj, hj), cs), cs))
+                x.update(compress(zip(range(xkey, xkey + len(cs) * hj, hj), cs), cs))
                 continue
             for c in cs:
                 if c:
@@ -849,9 +867,48 @@ class _Separation:
                 xkey += hj
         if total != f1 or sum(x.values()) != f1:
             raise NonLaurentError("coefficients do not sum to F(1): a bug")
-        span = [max(e) - min(e) for e in zip(*outers)]
+        span = _spans(quo._terms, self.n)
         span[j] = top - 1  # the least exponent of z_j is low, which some fiber meets
-        return F, x, span
+        return x, terms, span
+
+
+def _orbit(s0: Seed, spec: Period2Spec, steps: int):
+    """The loop of run_orbit, checked at the call: (k, B, x, y_at) before each
+    step and after the last, for k = spec.vertex_at(u) - 1, the live list x
+    (S-integers for numbers) and y_at(j), the y at j formed when first read."""
+    if steps < 0:
+        raise QuiverError("steps must be >= 0")
+    if not is_period2(s0.B, spec):
+        raise Period2Error("seed matrix does not satisfy the period-2 equation")
+    if s0.symbolic and s0 != Seed.initial(s0.B):
+        raise QuiverError("a symbolic orbit starts from Seed.initial(B)")
+    n = spec.n
+    sep = _Separation(s0.B) if s0.symbolic else None
+    x = list(s0.x) if sep else _lift_all(s0.x)[0]
+    y0, (one,) = _lift_all(s0.y, [1])
+    F, C, B = [one] * n, [[int(i == j) for j in range(n)] for i in range(n)], s0.B
+    ys = list(s0.y)  # each slot's last y, None from a mutation touching it to its next read
+
+    def y_at(j: int):
+        if ys[j] is None:
+            ys[j] = _quotient(*_monomials(one, zip(y0 + F, (r[j] for r in C + list(B.rows)))))
+        return ys[j]
+
+    def walk():
+        nonlocal B, C, ys
+        for u in range(steps):
+            k0 = spec.vertex_at(u) - 1
+            yield k0, B, x, y_at
+            col, ccol = [row[k0] for row in B.rows], [r[k0] for r in C]
+            F[k0] = _exchange(one, zip(y0 + F, ccol + col), F[k0])
+            x[k0] = (sep.exchange(k0, col, ccol, F[k0].numerator) if sep
+                     else _exchange(Fraction(1), zip(x, col), x[k0]))
+            ys = [None if w or j == k0 else v for j, (v, w) in enumerate(zip(ys, col))]
+            C = [_mutate_row(r, B.rows[k0], k0) for r in C]
+            B = mutate(B, k0 + 1)
+        yield spec.vertex_at(steps) - 1, B, x, y_at
+
+    return walk()
 
 
 def run_orbit(
@@ -879,41 +936,14 @@ def run_orbit(
     there every exchange divides exactly (the Laurent phenomenon), so a
     NonLaurentError means a bug.
     """
-    if steps < 0:
-        raise QuiverError("steps must be >= 0")
-    if not is_period2(s0.B, spec):
-        raise Period2Error("seed matrix does not satisfy the period-2 equation")
-    n = spec.n
     seq: dict[str, list] = {"z": [], "y": [], "A": [], "B": []}
     states = [s0] if keep_states else None
-    if s0.symbolic and s0 != Seed.initial(s0.B):
-        raise QuiverError("a symbolic orbit starts from Seed.initial(B)")
-    sep = _Separation(s0.B) if s0.symbolic else None
-    x = list(s0.x) if sep else _lift_all(s0.x)[0]
-    y0, (one,) = _lift_all(s0.y, [1])
-    F, C, B = [one] * n, [[int(i == j) for j in range(n)] for i in range(n)], s0.B
-    ys = list(s0.y)  # each slot's last y, None from a mutation touching it to its next read
-
-    def y_at(j: int):
-        if ys[j] is None:
-            ys[j] = _quotient(*_monomials(one, zip(y0 + F, (r[j] for r in C + list(B.rows)))))
-        return ys[j]
-
-    for u in range(steps):
-        k0 = spec.vertex_at(u) - 1
-        seq["zy"[u % 2]].append(x[k0])  # z and A at even steps, y and B at odd
-        seq["AB"[u % 2]].append(y_at(k0))
-        col, ccol = [row[k0] for row in B.rows], [r[k0] for r in C]
-        F[k0] = _exchange(one, zip(y0 + F, ccol + col), F[k0])
-        if sep:
-            x[k0] = sep.exchange(k0, col, ccol, F[k0].numerator)
-        else:
-            x[k0] = _exchange(Fraction(1), zip(x, col), x[k0])
-        ys = [None if w or j == k0 else v for j, (v, w) in enumerate(zip(ys, col))]
-        C = [_mutate_row(r, B.rows[k0], k0) for r in C]
-        B = mutate(B, k0 + 1)
-        if keep_states:
-            states.append(Seed(B, tuple(map(_plain, x)), tuple(map(y_at, range(n)))))
+    for u, (k0, B, x, y_at) in enumerate(_orbit(s0, spec, steps)):
+        if u and keep_states:
+            states.append(Seed(B, tuple(map(_plain, x)), tuple(map(y_at, range(spec.n)))))
+        if u < steps:
+            seq["zy"[u % 2]].append(x[k0])  # z and A at even steps, y and B at odd
+            seq["AB"[u % 2]].append(y_at(k0))
     seq["z"], seq["y"] = (list(map(_plain, seq[name])) for name in "zy")
     return OrbitTrace(spec, s0.B, steps, seq, states)
 
@@ -944,8 +974,8 @@ def laurent_check(B: ExchangeMatrix, spec: Period2Spec, depth: int) -> LaurentRe
     """Run the symbolic orbit of run_orbit from the initial seed of B and
     report the new variable of every step, the one at spec.vertex_at(u).
 
-    The values are formed in F-polynomial coordinates (run_orbit), never by
+    The values are formed in F-polynomial coordinates (_Separation), never by
     Laurent-polynomial products in x; tests/oracles.py::laurent_values_direct
     forms them by mutate_seed's products and checks them."""
-    states = run_orbit(Seed.initial(B), spec, depth).states
-    return LaurentReport(depth, [s.x[spec.vertex_at(u) - 1] for u, s in enumerate(states[1:])])
+    orbit = _orbit(Seed.initial(B), spec, depth)  # each step's k, then the x after it
+    return LaurentReport(depth, [x[k] for (k, *_), (_, _, x, _) in pairwise(orbit)])

@@ -93,7 +93,7 @@ def reduce_somos4(tag: str, value: int, terms: int) -> Row:
     if tag not in ("s82", "s84"):
         raise QuiverError("reduce_somos4 applies to suites s82 and s84")
     if terms < 6:
-        raise QuiverError("need at least 6 terms")
+        raise QuiverError(f"steps must be >= 6 for {tag}, got {terms}")
 
     def step(C, q, z):
         z.append((z[q + 1] * z[q + 3] + C[0] * z[q + 2] ** value) / z[q])
@@ -110,7 +110,7 @@ def reduce_somos5(value: int, terms: int) -> Row:
     """s86: y(q+5) y(q) = y(q+3) y(q+2) + C y(q+1)^(n-1) y(q+4)^(n-1);
     `terms` counts compared y-values, seed window included."""
     if terms < 7:
-        raise QuiverError("need at least 7 terms")
+        raise QuiverError(f"steps must be >= 7 for s86, got {terms}")
     e = value - 1
 
     def step(C, q, y):

@@ -269,6 +269,17 @@ class TestTsysCommands:
         )
         assert code == 0 and "PASS" in out
 
+    @pytest.mark.parametrize("family, least, steps", [
+        ("s82", 6, "0"), ("s82", 6, "-3"), ("s82", 6, "5"), ("s86", 7, "6"), ("s86", 7, "-1"),
+    ])
+    def test_somos_steps_below_window_exit_2(self, capsys, family, least, steps):
+        code, out, err = run_cli(
+            ["tsys", "somos", "--family", family, "--param", "2", "--steps", steps], capsys
+        )
+        assert (code, out, err) == (
+            2, "", f"error: steps must be >= {least} for {family}, got {steps}\n"
+        )
+
     def test_values_beyond_int_str_digit_limit(self, tmp_path, capsys):
         family = fm.FAMILY_BY_KEY["n4-k2-1"]
         tsys = extract_system(family.matrix(n=2), family.spec, "T")

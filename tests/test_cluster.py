@@ -299,6 +299,13 @@ class TestSeedMutation:
         assert run_orbit(Seed(B, (F(1, 2), 1, 2), (1, 1, 1)), Period2Spec(3, ONE_CYCLE, 2),
                          4).seq["z"] == [F(1, 2), 2]
 
+    @pytest.mark.parametrize("y", [(True, 1, 1), (0.5, 1, 1), ("1", 1, 1)],
+                             ids=["bool", "float", "string"])
+    def test_coefficient_values_are_exact(self, y):
+        # the x-values' rule: a bool is not a number here
+        with pytest.raises(QuiverError, match="y-values must be rational"):
+            Seed(ExchangeMatrix.zero(3), (1, 2, 3), y)
+
     def test_y_positivity_required(self):
         B = ExchangeMatrix.from_rows([[0, 1], [-1, 0]])
         with pytest.raises(QuiverError):
@@ -562,6 +569,18 @@ class TestRunOrbit:
         with pytest.raises(QuiverError):
             run_orbit(Seed.ones(B), Period2Spec(3, ONE_CYCLE, 2), 2)
 
+    def test_orbit_loop_checks_at_the_call(self):
+        # the generator behind run_orbit and laurent_check refuses its
+        # arguments before the first value is asked for
+        spec, x1 = Period2Spec(3, ONE_CYCLE, 2), LaurentPoly.variable(3, 1)
+        for seed, steps, match in [
+            (Seed.ones(MARKOV), -1, "steps must be >= 0"),
+            (Seed.ones(ExchangeMatrix.from_entries(3, {(1, 2): 1})), 2, "period-2"),
+            (Seed(MARKOV, (x1, x1, x1), (1, 1, 1)), 2, "Seed.initial"),
+        ]:
+            with pytest.raises(QuiverError, match=match):
+                cluster._orbit(seed, spec, steps)
+
     def test_first4node_relation_along_trace(self):
         # z(q) y(q+1) = z(q+1) y(q) + 1 for the 4-vertex weight-1 quiver
         B = fm.FAMILY_BY_KEY["n4-k2-1"].matrix(n=1)
@@ -665,6 +684,61 @@ class TestSeparatedOrbit:
         assert len(cluster._split(B)[0]) == rank
         assert self.moved_to(monkeypatch, B, spec, 6) == moved
 
+    def test_packed_f_expanded_for_the_move(self, monkeypatch):
+        # the move to z = P y reads every F as a term dict: those still
+        # packed from their exchange are expanded first, in place
+        spec, B = {str(fid): (spec, B) for fid, spec, B in fm.regression_instances(2)}["N3#1(n=2)"]
+        packed_before, collapse = [], cluster._Separation._collapse
+
+        def spy(sep):
+            packed_before.append(sum(type(F) is tuple for F in sep.F))
+            collapse(sep)
+            assert all(type(F) is dict for F in sep.F)
+
+        monkeypatch.setattr(cluster._Separation, "_collapse", spy)
+        values = laurent_check(B, spec, 6).values
+        assert packed_before and packed_before[0] > 0
+        assert typed_terms(values) == typed_terms(laurent_values_direct(B, spec, 6))
+
+    def test_last_exchange_f_never_expanded(self, monkeypatch):
+        # an F is expanded only when a later exchange folds it another way
+        # (or the F's move); no exchange reads the last one
+        exchanged, expanded, reused = [], [], []
+        exchange, terms = cluster._Separation.exchange, cluster._Separation._terms
+        folded = cluster._Separation._folded
+
+        def exchange_spy(sep, k, *args):
+            value = exchange(sep, k, *args)
+            exchanged.append(sep.F[k])
+            return value
+
+        def terms_spy(sep, i):
+            if type(sep.F[i]) is tuple:
+                expanded.append(sep.F[i])
+            return terms(sep, i)
+
+        def folded_spy(sep, i, j, s):
+            F = sep.F[i]
+            value = folded(sep, i, j, s)
+            if type(F) is tuple and sep.F[i] is F:  # read packed, as it is
+                reused.append(F)
+            return value
+
+        monkeypatch.setattr(cluster._Separation, "exchange", exchange_spy)
+        monkeypatch.setattr(cluster._Separation, "_terms", terms_spy)
+        monkeypatch.setattr(cluster._Separation, "_folded", folded_spy)
+        for fid, spec, B in fm.regression_instances(1):
+            exchanged.clear()
+            laurent_check(B, spec, 6)
+            assert len(exchanged) == 6 and not any(F is exchanged[-1] for F in expanded), fid
+        assert expanded and reused
+
+    def test_fold_packs_by_sum(self):
+        # packing is evaluation at z_1 = 2^8: a coefficient past 2^8 carries
+        terms = {cluster._pack((0, 0)): 300, cluster._pack((1, 0)): 1}
+        low, poly = cluster._fold(terms, 2, 0, 8)
+        assert low == 0 and poly._terms == {cluster._pack((0, 0)): 300 + 256}
+
     def test_kernel_without_unit_pivots(self, monkeypatch):
         # this kernel's 2x2 minors have gcd 1, so the basis spans all of it,
         # but none is +-1: no two y_p can be dropped along kernel vectors
@@ -757,6 +831,24 @@ class TestLaurentCheck:
         B = ExchangeMatrix.from_entries(3, {(1, 2): 1})
         with pytest.raises(QuiverError):
             laurent_check(B, Period2Spec(3, ONE_CYCLE, 2), 4)
+
+    def test_golden_values_read_only_x(self, monkeypatch):
+        # laurent_check never forms a coefficient y and builds no Seed but
+        # the initial one; the numeric orbit still forms its A/B by _quotient
+        built = []
+
+        def boom(num, den):
+            raise AssertionError("a y was formed")
+
+        monkeypatch.setattr(cluster, "_quotient", boom)
+        monkeypatch.setattr(cluster.Seed, "__post_init__", lambda seed: built.append(seed))
+        self.test_golden_values()
+        assert built and all(
+            s.x == tuple(LaurentPoly.variable(s.B.n, i) for i in range(1, s.B.n + 1))
+            for s in built
+        )
+        with pytest.raises(AssertionError, match="a y was formed"):
+            run_orbit(Seed.ones(MARKOV), Period2Spec(3, ONE_CYCLE, 2), 1)
 
     # sha256 of the depth-6 values, each value written as its sorted
     # (exponents, hex coefficient) terms
