@@ -2,8 +2,9 @@
 T/Y-system extraction and iteration, periodic quantities, reproduction suites.
 
 Exit codes, decided in main alone: 0 success; 1 a failed check (a check that
-does not hold, a Period2Error or a ZeroDivisionError); 2 a usage or input
-error (any other QuiverError, a FormatError).  A CliError carries its own code.
+does not hold, a Period2Error, a BitBudgetError or a ZeroDivisionError); 2 a
+usage or input error (any other QuiverError, a FormatError).  A CliError
+carries its own code.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .search import SearchJob, residual_report, search
 from .systems import (
     BUILTIN_TEMPLATES,
     DEFAULT_BIT_BUDGET,
+    BitBudgetError,
     extract_system,
     iterate_system,
     parse_template,
@@ -191,11 +193,7 @@ def cmd_tsys_iterate(args) -> int:
     seqs = iterate_system(sys_spec, window, args.steps, Z=Z, bit_budget=args.bit_budget)
     reached = len(seqs["z"]) - required_window(sys_spec)["z"]
     if reached < args.steps:
-        raise CliError(
-            f"stopped after step {reached} of {args.steps}: a value exceeds the "
-            f"bit budget of {args.bit_budget} bits (raise it with --bit-budget)",
-            code=EXIT_VERIFY,
-        )
+        raise BitBudgetError(reached, args.steps, args.bit_budget)
     seqs.update(A=[], B=[])
     trace = OrbitTrace(sys_spec.spec, sys_spec.B0, 2 * args.steps, seqs)
     print(formats.trace_to_json(trace))
@@ -226,7 +224,7 @@ def cmd_tsys_verify_periodic(args) -> int:
 
 
 def cmd_tsys_somos(args) -> int:
-    report = reductions.somos_reduce(args.family, args.param, args.steps)
+    report = reductions.somos_reduce(args.family, args.param, args.steps, args.bit_budget)
     for row in report.rows:
         print(("PASS " if row.ok else "FAIL ") + row.label)
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -262,6 +260,14 @@ def cmd_orbit(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+def _add_bit_budget(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--bit-budget", type=int, default=DEFAULT_BIT_BUDGET, metavar="BITS",
+        help="fail once a numerator or denominator exceeds BITS bits "
+        f"(default {DEFAULT_BIT_BUDGET})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,11 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True, help="JSON object with 'z' and 'y' windows")
     p.add_argument("--steps", required=True, type=int)
     p.add_argument("--z", help="JSON object with 'z'/'y' multiplier sequences (TZ)")
-    p.add_argument(
-        "--bit-budget", type=int, default=DEFAULT_BIT_BUDGET, metavar="BITS",
-        help="fail once a numerator or denominator exceeds BITS bits "
-        f"(default {DEFAULT_BIT_BUDGET})",
-    )
+    _add_bit_budget(p)
     p.set_defaults(func=cmd_tsys_iterate)
 
     p = tsub.add_parser("verify-periodic", help="check a periodic quantity on a trace")
@@ -338,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=reductions.SOMOS_TAGS)
     p.add_argument("--param", required=True, type=int)
     p.add_argument("--steps", type=int, default=30)
+    _add_bit_budget(p)
     p.set_defaults(func=cmd_tsys_somos)
 
     p = sub.add_parser("orbit", help="run a seed orbit and emit a trace")
@@ -371,7 +374,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CliError):
             return exc.code
-        return EXIT_VERIFY if isinstance(exc, (Period2Error, ZeroDivisionError)) else EXIT_USAGE
+        failed = (Period2Error, BitBudgetError, ZeroDivisionError)
+        return EXIT_VERIFY if isinstance(exc, failed) else EXIT_USAGE
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -250,7 +250,7 @@ class LaurentPoly:
             raise QuiverError("value count mismatch")
         terms = self.terms.items()
         one = Fraction(1)
-        return sum((c * _quotient(*_monomials(one, zip(values, e))) for e, c in terms), Fraction(0))
+        return sum((c * _quotient(one, zip(values, e)) for e, c in terms), Fraction(0))
 
     def __str__(self):
         if not self._terms:
@@ -517,6 +517,12 @@ class _SInt:
 
     __radd__ = __add__
 
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return Fraction(self) - _plain(other)
+        return self + _SInt(o.base, -o.n, o.exps)
+
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is not None and o.n:
@@ -675,14 +681,39 @@ class OrbitTrace:
     states: list[Seed] | None = None
 
 
-def _quotient(num, den) -> Fraction:
-    """num / den as a Fraction.  Two S-integers cancel their S-parts first,
-    so the only gcd is the one Fraction(num, den) normalises with."""
+@numbers.Rational.register
+class _Reduced:
+    """A fraction already in lowest terms with a positive denominator, which
+    Fraction(v) takes as it is, as it takes the pair of an S-integer."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+
+def _quotient(one, pairs) -> Fraction:
+    """The product of v ** w over the (value, exponent) pairs as a Fraction.
+
+    Two S-integer monomials cancel their S-parts first.  If every factor is an
+    S-integer, the numerator is nonzero, the denominator positive, and each
+    unit of a w > 0 factor coprime to each unit of a w < 0 factor, the pair is
+    already reduced: the S-parts sit on distinct, pairwise coprime elements,
+    and units are coprime to S.  Then no gcd of the product is taken; the
+    pairwise unit gcds are smaller, and below _DIV_LIMIT bits the one gcd of
+    Fraction(num, den) costs less than the check."""
+    pairs = list(pairs)
+    num, den = _monomials(one, pairs)
     if not (isinstance(num, _SInt) and isinstance(den, _SInt)):
         return Fraction(num) / Fraction(den)
-    pairs = list(zip(num.base.elems, num.exps, den.exps))
-    return Fraction(num.n * prod(b ** (e - d) for b, e, d in pairs if e > d),
-                    den.n * prod(b ** (d - e) for b, e, d in pairs if d > e))
+    elems = list(zip(num.base.elems, num.exps, den.exps))
+    top = num.n * prod(b ** (e - d) for b, e, d in elems if e > d)
+    bottom = den.n * prod(b ** (d - e) for b, e, d in elems if d > e)
+    if (top and den.n > 0 and max(top.bit_length(), bottom.bit_length()) > _DIV_LIMIT
+            and all(type(v) is _SInt and v.base is num.base for v, w in pairs if w)
+            and all(gcd(u.n, v.n) == 1 for u, w in pairs if w > 0 for v, x in pairs if x < 0)):
+        return Fraction(_Reduced(top, bottom))
+    return Fraction(top, bottom)
 
 
 def _delta(v: Sequence[int]) -> int:
@@ -891,7 +922,7 @@ def _orbit(s0: Seed, spec: Period2Spec, steps: int):
 
     def y_at(j: int):
         if ys[j] is None:
-            ys[j] = _quotient(*_monomials(one, zip(y0 + F, (r[j] for r in C + list(B.rows)))))
+            ys[j] = _quotient(one, zip(y0 + F, (r[j] for r in C + list(B.rows))))
         return ys[j]
 
     def walk():

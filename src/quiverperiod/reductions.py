@@ -14,12 +14,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .cluster import _lift_all, _plain
 from .families import section_family
 from .quiver import QuiverError
 from .report import Report, Row
 from .systems import (
     BUILTIN_TEMPLATES,
     DEFAULT_BIT_BUDGET,
+    BitBudgetError,
     SystemSpec,
     extract_system,
     iterate_system,
@@ -52,9 +54,16 @@ def _window(sys: SystemSpec, draw) -> dict[str, list]:
     return {name: [draw() for _ in range(cnt)] for name, cnt in required_window(sys).items()}
 
 
-def iterate_family(tag: str, value: int, steps: int) -> dict[str, list]:
+def iterate_family(
+    tag: str, value: int, steps: int, bit_budget: int | None = None
+) -> dict[str, list]:
+    """The full T-system of suite `tag` at `value` from the all-ones window;
+    BitBudgetError if a value passes bit_budget bits before `steps` steps."""
     sys = _tsys_for(tag, value)
-    return iterate_system(sys, _window(sys, lambda: Fraction(1)), steps)
+    full = iterate_system(sys, _window(sys, lambda: Fraction(1)), steps, bit_budget=bit_budget)
+    if (reached := len(full["z"]) - required_window(sys)["z"]) < steps:
+        raise BitBudgetError(reached, steps, bit_budget)
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +81,25 @@ def _is_prefix(reduced: list, full) -> bool:
     return reduced == list(full[: len(reduced)])
 
 
-def _check(tag, value, steps, names, start, stop, step, label) -> Row:
+def _check(tag, value, steps, names, start, stop, step, label, bit_budget=None) -> Row:
     """Iterate suite `tag` at `value` from the all-ones window for `steps`
-    steps and read its constants C; extend the first `start` values of the
-    `names` sequences to `stop` values by calling step(C, q, *sequences) for
-    q = 0, 1, ..., and compare with the full trace.  `label` may use {C}."""
-    full = iterate_family(tag, value, steps)
+    steps under bit_budget (iterate_family) and read its constants C; extend
+    the first `start` values of the `names` sequences to `stop` values by
+    calling step(C, q, *sequences) for q = 0, 1, ..., and compare with the
+    full trace.  `label` may use {C}.
+
+    The reduced recurrence runs on S-integers over the base of the seed
+    values and C (cluster._SInt), so its exact divisions take no gcd."""
+    full = iterate_family(tag, value, steps, bit_budget)
     C = _constants(tag, full)
-    seqs = {name: list(full[name][:start]) for name in names}
+    *seqs, lifted = _lift_all(*(full[name][:start] for name in names), C)
     for q in range(stop - start):
-        step(C, q, *seqs.values())
-    ok = all(_is_prefix(vals, full[name]) for name, vals in seqs.items())
+        step(lifted, q, *seqs)
+    ok = all(_is_prefix(list(map(_plain, vals)), full[name]) for name, vals in zip(names, seqs))
     return Row(label.format(C=C[0]), ok)
 
 
-def reduce_somos4(tag: str, value: int, terms: int) -> Row:
+def reduce_somos4(tag: str, value: int, terms: int, bit_budget: int | None = None) -> Row:
     """s82/s84: the constant turns the pair into
     z(q+4) z(q) = z(q+1) z(q+3) + C z(q+2)^e; `terms` counts compared
     z-values, seed window included."""
@@ -102,11 +115,11 @@ def reduce_somos4(tag: str, value: int, terms: int) -> Row:
     return _check(
         tag, value, terms - zwin, ("z",), 4, terms, step,
         f"{tag} exp={value}: reduced Somos-4 form matches the full system "
-        f"for {terms} terms (C={{C}})",
+        f"for {terms} terms (C={{C}})", bit_budget,
     )
 
 
-def reduce_somos5(value: int, terms: int) -> Row:
+def reduce_somos5(value: int, terms: int, bit_budget: int | None = None) -> Row:
     """s86: y(q+5) y(q) = y(q+3) y(q+2) + C y(q+1)^(n-1) y(q+4)^(n-1);
     `terms` counts compared y-values, seed window included."""
     if terms < 7:
@@ -119,7 +132,7 @@ def reduce_somos5(value: int, terms: int) -> Row:
     return _check(
         "s86", value, terms - 4, ("y",), 5, terms, step,
         f"s86 n={value}: reduced Somos-5 form matches the full system "
-        f"for {terms} terms (C={{C}})",
+        f"for {terms} terms (C={{C}})", bit_budget,
     )
 
 
@@ -185,13 +198,15 @@ def reduce_s85(value: int, steps: int) -> Row:
     )
 
 
-def somos_reduce(family: str, param: int, steps: int = 30) -> Report:
+def somos_reduce(family: str, param: int, steps: int = 30, bit_budget: int | None = None) -> Report:
     """Reduce one of the Somos-producing suites and compare with the full
-    iteration: s82/s84 reduce to the 4-term form, s86 to the 5-term form."""
+    iteration: s82/s84 reduce to the 4-term form, s86 to the 5-term form.
+    BitBudgetError if the full iteration passes bit_budget bits."""
     if family not in SOMOS_TAGS:
         raise QuiverError(f"somos_reduce supports families {', '.join(SOMOS_TAGS)}")
-    row = reduce_somos5(param, steps) if family == "s86" else reduce_somos4(family, param, steps)
-    return Report(family, [row])
+    if family == "s86":
+        return Report(family, [reduce_somos5(param, steps, bit_budget)])
+    return Report(family, [reduce_somos4(family, param, steps, bit_budget)])
 
 
 # ---------------------------------------------------------------------------

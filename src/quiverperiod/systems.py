@@ -386,8 +386,18 @@ def _at(seqs: dict[str, Sequence], factors: Iterable[tuple[Slot, int]], q: int) 
 
 
 # bits allowed to a numerator or denominator by callers that bound an
-# iteration whose exact values grow exponentially (verify_section, tsys iterate)
+# iteration whose exact values grow exponentially (verify_section, tsys
+# iterate, tsys somos)
 DEFAULT_BIT_BUDGET = 600_000
+
+
+class BitBudgetError(QuiverError):
+    """An iteration that had to run `steps` steps stopped at its bit budget
+    after step `reached`."""
+
+    def __init__(self, reached: int, steps: int, budget: int):
+        super().__init__(f"stopped after step {reached} of {steps}: a value exceeds the "
+                         f"bit budget of {budget} bits (raise it with --bit-budget)")
 
 
 def iterate_system(
@@ -483,7 +493,7 @@ class PeriodicQuantityTemplate:
     def eval_at(self, seqs: dict[str, Sequence], q: int) -> Fraction:
         def side(monomials):
             return sum(
-                (c * _quotient(*_monomials(1, _at(seqs, factors, q))) for c, factors in monomials),
+                (c * _quotient(1, _at(seqs, factors, q)) for c, factors in monomials),
                 Fraction(0),
             )
 
@@ -696,7 +706,7 @@ def template_search(
     @functools.cache
     def exact(i: int) -> list:
         c, factors = monomials[i]
-        return [c * _quotient(*_monomials(1, _at(seqs, factors, q))) for q in range(usable)]
+        return [c * _quotient(1, _at(seqs, factors, q)) for q in range(usable)]
 
     found = []
     for ni, nj, di in sorted(periods):

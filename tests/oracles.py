@@ -13,7 +13,7 @@ Y-system.
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from quiverperiod import (
     EquationSpec,
@@ -32,7 +32,7 @@ from quiverperiod import (
     permute,
     required_window,
 )
-from quiverperiod.cluster import _coefficient, _monomials, _quotient
+from quiverperiod.cluster import _coefficient
 from quiverperiod.systems import _at, _mono, _slot, lambdas_at
 
 
@@ -248,7 +248,8 @@ def t_iterate_direct(sys, window, steps: int, Z=None):
 def tz_substitution_direct(Z, sys, steps: int, bit_budget: int):
     """check_TZ_condition by substitution: iterate the TZ system from the
     all-ones window, form the bars Y = M+/M- of eq1 and eq2, and test the
-    extracted Y-system on them for q < steps.  None when a value of the
+    extracted Y-system on them for q < steps; the bars are plain Fraction
+    products, not the library's quotient.  None when a value of the
     iteration passes bit_budget bits before the bars are complete."""
     tz = SystemSpec("TZ", sys.spec, sys.B0, sys.eq1, sys.eq2)
     need = required_window(tz)
@@ -261,7 +262,8 @@ def tz_substitution_direct(Z, sys, steps: int, bit_budget: int):
 
     def bars(eq):
         factors = eq.factors()
-        return [_quotient(*_monomials(1, _at(seqs, factors, q))) for q in range(count)]
+        return [prod((Fraction(v) ** w for v, w in _at(seqs, factors, q)), start=Fraction(1))
+                for q in range(count)]
 
     bar = {"z": bars(tz.eq1), "y": bars(tz.eq2)}
     for eq in extract_system(sys.B0, sys.spec, "Y").equations():

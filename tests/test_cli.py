@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,30 @@ class TestTsysCommands:
         assert (code, out, err) == (
             2, "", f"error: steps must be >= {least} for {family}, got {steps}\n"
         )
+
+    def test_somos_stops_at_bit_budget(self, capsys):
+        # s82 param 3 grows about 1.6x in bits per step: its full system
+        # passes the default budget after step 27 of the 36 that 40 terms need
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["tsys", "somos", "--family", "s82", "--param", "3", "--steps", "40"], capsys
+        )
+        assert time.perf_counter() - start < 3
+        assert (code, out) == (1, "")
+        assert err == ("error: stopped after step 27 of 36: a value exceeds the bit budget "
+                       "of 600000 bits (raise it with --bit-budget)\n")
+        code, out, err = run_cli(
+            ["tsys", "somos", "--family", "s86", "--param", "2", "--steps", "30",
+             "--bit-budget", "20"], capsys,
+        )
+        assert (code, out) == (1, "") and err.startswith("error: stopped after step ")
+        assert "of 26: " in err and "20 bits" in err
+
+    def test_somos_nonpositive_bit_budget_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["tsys", "somos", "--family", "s82", "--param", "2", "--bit-budget", "0"], capsys
+        )
+        assert (code, out, err) == (2, "", "error: bit budget must be >= 1, got 0\n")
 
     def test_values_beyond_int_str_digit_limit(self, tmp_path, capsys):
         family = fm.FAMILY_BY_KEY["n4-k2-1"]

@@ -412,6 +412,102 @@ class TestSIntegers:
         ])
         assert tr.states[1].y[2] is y0[2]
 
+    # _quotient over the base {2, 3}: units of 3-4x _DIV_LIMIT bits, coprime
+    # to 6, put a read above the size gate
+    BASE = _SBase([F(2), F(3)])
+
+    @staticmethod
+    def unit(rng, scale=3):
+        return rng.getrandbits(scale * _DIV_LIMIT) * 6 + 1
+
+    def quotient_read(self, monkeypatch, one, pairs):
+        """_quotient against Fraction(num) / Fraction(den) of the plain
+        values, value and type; True when it skipped the gcd."""
+        reduced = []
+
+        class Spy(cluster._Reduced):
+            def __init__(self, *pair):
+                reduced.append(pair)
+                super().__init__(*pair)
+
+        monkeypatch.setattr(cluster, "_Reduced", Spy)
+        num = prod((F(cluster._plain(v)) ** w for v, w in pairs if w > 0), start=F(1))
+        den = prod((F(cluster._plain(v)) ** -w for v, w in pairs if w < 0), start=F(1))
+        got, want = cluster._quotient(one, pairs), num / den
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        return bool(reduced)
+
+    def test_quotient_coprime_units_skip_the_gcd(self, monkeypatch):
+        rng, lift = random.Random(3), self.BASE.lift
+        one, a, b, c = (lift(F(v)) for v in (1, self.unit(rng), self.unit(rng), self.unit(rng)))
+        pairs = [(a, 2), (lift(F(9, 4)), -1), (b, -1), (lift(F(-3 * self.unit(rng, 1), 2)), 1)]
+        assert gcd(a.n, b.n) == 1
+        assert self.quotient_read(monkeypatch, one, pairs)
+        # a prime shared by the two sides: the gcd of Fraction(num, den) runs
+        p = 1_000_003
+        pairs = [(lift(F(p * a.n)), 1), (lift(F(p * b.n, 8)), -1), (c, 1)]
+        assert not self.quotient_read(monkeypatch, one, pairs)
+
+    def test_quotient_fraction_factor_takes_the_gcd(self, monkeypatch):
+        # F(p * u, 3) lifts into Z[1/S] with unit p * u, which shares p with
+        # the other side; only an S-integer factor shows its unit
+        rng, lift, p = random.Random(5), self.BASE.lift, 1_000_003
+        one, a = lift(F(1)), lift(F(p * self.unit(rng)))
+        for w in (1, -1):
+            pairs = [(F(p * self.unit(rng), 3), w), (a, -w)]
+            assert not self.quotient_read(monkeypatch, one, pairs)
+
+    def test_quotient_zero_numerator(self, monkeypatch):
+        # the denominator is an S-power above the gate with unit 1, coprime
+        # to the zero unit; 0 / d is 0 / 1
+        lift = self.BASE.lift
+        one, zero = lift(F(1)), lift(F(0))
+        assert zero.n == 0 and gcd(zero.n, 1) == 1
+        assert not self.quotient_read(monkeypatch, one, [(zero, 1), (lift(F(3 ** 3000)), -1)])
+
+    def test_quotient_negative_unit(self, monkeypatch):
+        # a negative unit in the denominator flips both signs; in the
+        # numerator it leaves the pair reduced
+        rng, lift = random.Random(7), self.BASE.lift
+        one, a, b = lift(F(1)), lift(F(self.unit(rng))), lift(F(-self.unit(rng)))
+        assert not self.quotient_read(monkeypatch, one, [(a, 1), (b, -1)])
+        assert self.quotient_read(monkeypatch, one, [(b, 1), (a, -1)])
+
+    def test_quotient_ignores_exponent_zero_factors(self, monkeypatch):
+        # a w = 0 factor is read by neither side: not its value outside Z[1/S],
+        # nor its zero, nor a unit it shares with the numerator
+        rng, lift = random.Random(11), self.BASE.lift
+        one, a, b = lift(F(1)), lift(F(self.unit(rng))), lift(F(self.unit(rng), 9))
+        for idle in (F(1, 7), lift(F(0)), a, F(a.n)):
+            assert self.quotient_read(monkeypatch, one, [(a, 1), (idle, 0), (b, -1)])
+
+    def test_quotient_below_the_gate(self, monkeypatch):
+        # small reads take today's gcd, shared primes or not
+        rng, lift = random.Random(13), self.BASE.lift
+        one = lift(F(1))
+        for _ in range(50):
+            a, b = (lift(F(rng.randint(-99, 99), 2 ** rng.randint(0, 9))) for _ in "ab")
+            if b.n:
+                pairs = [(a, rng.randint(0, 3)), (b, -rng.randint(1, 3)), (lift(F(35)), 1)]
+                assert not self.quotient_read(monkeypatch, one, pairs)
+        big = lift(F(rng.getrandbits(_DIV_LIMIT - 3) * 6 + 1))
+        assert big.numerator.bit_length() == _DIV_LIMIT
+        assert not self.quotient_read(monkeypatch, one, [(big, 1), (lift(F(7)), -1)])
+
+    def test_sub(self):
+        # an S-integer difference stays one; a difference outside Z[1/S]
+        # (a value outside it, or a sum that shares a cofactor) is a Fraction
+        lift = self.BASE.lift
+        for a, b in [(F(9, 2), F(1, 2)), (F(1), F(1, 3)), (F(5), 5), (F(-7, 6), F(2, 9))]:
+            got = lift(a) - (lift(b) if type(b) is F else b)
+            assert type(got) is _SInt and got == a - b
+        got = lift(F(9, 2)) - F(1, 7)
+        assert type(got) is F and got == F(61, 14)
+        lone = _SBase([F(65537 * 65539)])
+        got = lone.lift(F(1)) - lone.lift(F(-65536))
+        assert type(got) is F and got == 65537
+
 
 def _bits(data, label):
     # below, straddling and 3-10x the recursion limit
