@@ -76,12 +76,6 @@ def _drop_zeros(terms: dict) -> dict:
     return terms
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class LaurentPoly:
     """Sparse polynomial with integer exponent vectors, possibly negative.
 
@@ -100,9 +94,8 @@ class LaurentPoly:
                 raise QuiverError(
                     f"exponent vector {exps} is not {nvars} exponents in [-2^32, 2^32)"
                 )
-            if c != 0:
-                packed[_pack(exps)] = _norm_coeff(c)
-        self._terms = packed
+            packed[_pack(exps)] = c
+        self._terms = _drop_zeros(packed)
 
     @classmethod
     def _raw(cls, nvars: int, packed: dict[int, object]) -> "LaurentPoly":
@@ -282,10 +275,8 @@ class LaurentPoly:
             raise QuiverError("divisor is not a monomial")
         (qe, qc), = q._terms.items()
         shift = qe - self._zero
-        terms = {}
-        for e, c in self._terms.items():
-            terms[e - shift] = _norm_coeff(Fraction(c, 1) / qc) if qc != 1 else c
-        return LaurentPoly._raw(self.nvars, terms)
+        terms = {e - shift: Fraction(c, 1) / qc if qc != 1 else c for e, c in self._terms.items()}
+        return LaurentPoly._raw(self.nvars, _drop_zeros(terms))
 
     def _min_exponents(self) -> int:
         """Packed componentwise minimum over all exponent vectors."""
@@ -320,9 +311,7 @@ class LaurentPoly:
             return None
         # quo keys carry the bias; adding the relative shift keeps them biased
         shift = p_min - d_min
-        return LaurentPoly._raw(
-            nvars, {e + shift: _norm_coeff(c) for e, c in quo.items()}
-        )
+        return LaurentPoly._raw(nvars, _drop_zeros({e + shift: c for e, c in quo.items()}))
 
 
 def _exact_div(p_terms: dict, d_terms: dict, nvars: int, zero: int):
@@ -470,11 +459,12 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, 
     return q, r
 
 
-@numbers.Rational.register
 class _SInt:
     """n * prod(b ** e for b, e in zip(S, exps)), n coprime to S = base.elems:
     a unique form (zero has exps 0), so no operation takes a gcd.  Results
-    outside Z[1/S] are Fractions.  Fraction(v) takes the pair as is."""
+    outside Z[1/S] are Fractions.  It is no numbers.Rational: it has +, -, *,
+    /, ** by an int >= 0 and ==, any other operator raises TypeError, and
+    _plain is its one way out."""
 
     __slots__ = ("base", "n", "exps", "src", "_pair")  # src: v lifted
 
@@ -500,7 +490,7 @@ class _SInt:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return Fraction(self) * _plain(other)
+            return Fraction(_plain(self)) * _plain(other)
         return _SInt(self.base, self.n * o.n, [a + b for a, b in zip(self.exps, o.exps)])
 
     __rmul__ = __mul__
@@ -513,14 +503,14 @@ class _SInt:
             fb = prod(b ** (e - m) for b, e, m in zip(elems, o.exps, low))
             if (s := self.base.strip(self.n * fa + o.n * fb, low)) is not None:
                 return _SInt(self.base, *s)
-        return Fraction(self) + _plain(other)
+        return Fraction(_plain(self)) + _plain(other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
-            return Fraction(self) - _plain(other)
+            return Fraction(_plain(self)) - _plain(other)
         return self + _SInt(o.base, -o.n, o.exps)
 
     def __truediv__(self, other):
@@ -530,22 +520,25 @@ class _SInt:
             if not r:
                 q = q if (self.n < 0) == (o.n < 0) else -q
                 return _SInt(self.base, q, [a - b for a, b in zip(self.exps, o.exps)])
-        return Fraction(self) / _plain(other)
+        return Fraction(_plain(self)) / _plain(other)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return other / Fraction(self) if o is None else o / self
+        return other / Fraction(_plain(self)) if o is None else o / self
 
     def __pow__(self, k):
         if isinstance(k, int) and k >= 0:
             return _SInt(self.base, self.n ** k, [e * k for e in self.exps])
-        return Fraction(self) ** k
+        return Fraction(_plain(self)) ** k
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
-            return Fraction(self) == _plain(other)
+            return _plain(self) == _plain(other)
         return self.n == o.n and self.exps == o.exps
+
+    def __bool__(self):
+        raise TypeError("an S-integer has no truth value; compare it with 0")
 
 
 def _lift_all(*groups: Sequence) -> list[list]:
@@ -559,7 +552,7 @@ def _plain(v):
     """The int or Fraction an S-integer stands for; other values unchanged."""
     if not isinstance(v, _SInt):
         return v
-    return Fraction(v) if v.src is None else v.src
+    return Fraction(_Reduced(*v._fraction())) if v.src is None else v.src
 
 
 @dataclass(frozen=True)
@@ -684,7 +677,7 @@ class OrbitTrace:
 @numbers.Rational.register
 class _Reduced:
     """A fraction already in lowest terms with a positive denominator, which
-    Fraction(v) takes as it is, as it takes the pair of an S-integer."""
+    Fraction(v) takes as it is: a reduced quotient, or the pair of an S-integer."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -705,7 +698,7 @@ def _quotient(one, pairs) -> Fraction:
     pairs = list(pairs)
     num, den = _monomials(one, pairs)
     if not (isinstance(num, _SInt) and isinstance(den, _SInt)):
-        return Fraction(num) / Fraction(den)
+        return Fraction(_plain(num)) / Fraction(_plain(den))
     elems = list(zip(num.base.elems, num.exps, den.exps))
     top = num.n * prod(b ** (e - d) for b, e, d in elems if e > d)
     bottom = den.n * prod(b ** (d - e) for b, e, d in elems if d > e)

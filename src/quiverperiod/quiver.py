@@ -129,7 +129,7 @@ class ExchangeMatrix:
         """The checked matrix of integer rows; numpy integers pass, while bools,
         floats and strings are refused."""
         return ExchangeMatrix(tuple(
-            tuple(_integer(x, i, j) for j, x in enumerate(row, 1))
+            tuple(_integer(x, _ENTRY, i, j) for j, x in enumerate(row, 1))
             for i, row in enumerate(rows, 1)
         ))
 
@@ -144,7 +144,7 @@ class ExchangeMatrix:
         for (i, j), v in entries.items():
             if not (1 <= i < j <= n):
                 raise QuiverError(f"bad entry index ({i},{j})")
-            rows[i - 1][j - 1] = v = _integer(v, i, j)
+            rows[i - 1][j - 1] = v = _integer(v, _ENTRY, i, j)
             rows[j - 1][i - 1] = -v
         return ExchangeMatrix._unchecked(tuple(map(tuple, rows)))
 
@@ -153,14 +153,17 @@ class ExchangeMatrix:
         return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in self.rows)
 
 
-def _integer(x, i: int, j: int) -> int:
-    """Entry b[i][j] as an int: any integer type but bool."""
+_ENTRY = "entry b[{}][{}]"
+
+
+def _integer(x, what: str, *at: int) -> int:
+    """x as an int: any integer type but bool.  what.format(*at) names x."""
     if not isinstance(x, bool):
         try:
             return operator.index(x)
         except TypeError:
             pass
-    raise QuiverError(f"entry b[{i}][{j}] must be an integer")
+    raise QuiverError(f"{what.format(*at)} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,8 @@ class Period2Spec:
     k: int
 
     def __post_init__(self):
+        for name in ("n", "k"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.shape not in (ONE_CYCLE, TWO_CYCLE):
             raise QuiverError(f"unknown shape {self.shape!r}")
         if not 2 <= self.k <= self.n:
@@ -292,14 +297,12 @@ def is_period2(B: ExchangeMatrix, spec: Period2Spec) -> bool:
 def period1_from_row(row: Sequence[int]) -> ExchangeMatrix:
     """The unique mutation-periodic matrix with the given first row (b[1][2..n]).
 
-    The row must be palindromic (row[j] = row[n+2-j] in b[1][j] indexing); the
-    remaining entries b[i][j] for i > j are b[i-j+1][1] + sum_{m=2..j} of the
-    epsilon correction built from first-row entries only.  That fill produces a
-    quiver periodic under the inverse relabeling; conjugating by the reversal
-    fixing vertex 1 (i -> n+2-i) converts it to the permute() convention used
-    throughout, without touching the (palindromic) first row.
+    The row must be palindromic (row[j] = row[n+2-j] in b[1][j] indexing).
+    rho mu_1 (B) = B reads b[i+1][j+1] = mu_1(B)[i][j], so row i+1 is row i of
+    mu_1(B) (the negated first row for i = 1, the mutate() rule otherwise)
+    shifted one place right behind its entry b[i+1][1] = -b[1][i+1].
     """
-    row = tuple(_integer(x, 1, j) for j, x in enumerate(row, 2))
+    row = tuple(_integer(x, _ENTRY, 1, j) for j, x in enumerate(row, 2))
     n = len(row) + 1
     for j in range(2, n + 1):
         # row index t holds b[1][t+1]
@@ -308,24 +311,12 @@ def period1_from_row(row: Sequence[int]) -> ExchangeMatrix:
                 f"first row is not palindromic: b[1][{j}]={row[j - 2]} "
                 f"!= b[1][{n + 2 - j}]={row[n - j]}"
             )
-    b1 = {j: row[j - 2] for j in range(2, n + 1)}  # b[1][j]
-
-    def eps_row(m: int, l: int) -> int:
-        a, c = -b1[m], b1[l]
-        return (abs(a) * c + a * abs(c)) // 2
-
-    rows = [[0] * n for _ in range(n)]
-    for j in range(2, n + 1):
-        rows[0][j - 1] = b1[j]
-        rows[j - 1][0] = -b1[j]
-    for j in range(2, n):
-        for i in range(j + 1, n + 1):
-            v = -b1[i - j + 1] + sum(eps_row(m, i - j + m) for m in range(2, j + 1))
-            rows[i - 1][j - 1] = v
-            rows[j - 1][i - 1] = -v
-    filled = ExchangeMatrix.from_rows(rows)
-    reversal = Permutation(n, tuple([1] + [n + 2 - i for i in range(2, n + 1)]))
-    return permute(filled, reversal)
+    first = (0, *row)
+    rows = [first]
+    for i in range(1, n):
+        mu = tuple(-x for x in first) if i == 1 else _mutate_row(rows[-1], first, 0)
+        rows.append((-first[i], *mu[:-1]))
+    return ExchangeMatrix._unchecked(tuple(rows))
 
 
 def mu1_partner(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .quiver import ExchangeMatrix, Period2Spec, QuiverError, is_connected, mu1_partner
+from .quiver import ExchangeMatrix, Period2Spec, QuiverError, _integer, is_connected, mu1_partner
 
 Pair = tuple[int, int]
 
@@ -37,6 +37,8 @@ class SearchJob:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("bound", "jobs"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.bound < 1:
             raise QuiverError("bound must be >= 1")
         if self.jobs < 1:

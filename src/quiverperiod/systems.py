@@ -412,7 +412,7 @@ def iterate_system(
     initial provides the z- and y-windows (sizes must match required_window).
     A system that reads a slot ahead of its production raises QuiverError
     before any arithmetic.
-    For TZ-kind systems, Z["z"] and Z["y"] multiply the right-hand sides of
+    For TZ-kind systems, Z["z"] and Z["y"], when given, multiply the right-hand sides of
     eq1 and eq2.  With bit_budget set, the iteration stops after the first
     step that produces a value whose numerator or denominator has more than
     bit_budget bits; the number of steps taken is then
@@ -434,14 +434,12 @@ def iterate_system(
                 f"initial window for {name!r} must have exactly {want} values, got {len(got)}"
             )
         seqs[name] = [Fraction(v) for v in got]
-    if sys.kind == "TZ":
-        if Z is None:
-            Z = {"z": [1] * steps, "y": [1] * steps}
+    if Z is not None:
+        if sys.kind != "TZ":
+            raise QuiverError("Z sequences are only accepted for TZ-kind systems")
         for name in ("z", "y"):
             if len(Z.get(name, ())) < steps:
                 raise QuiverError(f"Z[{name!r}] must provide at least {steps} values")
-    elif Z is not None:
-        raise QuiverError("Z sequences are only accepted for TZ-kind systems")
     one = Fraction(1)
     if sys.kind == "T":
         *lifted, (one,) = _lift_all(*seqs.values(), [one])
@@ -465,7 +463,7 @@ def iterate_system(
             else:
                 m_in, m_out = _monomials(one, pairs)
                 val = m_in + m_out
-            if sys.kind == "TZ":
+            if Z is not None:
                 val *= Fraction(Z["z" if idx == 0 else "y"][q])
             val /= divisor
             seqs[eq.lhs[1][0]].append(val)

@@ -1,4 +1,5 @@
-"""Every public entry point refuses a malformed exchange matrix.
+"""Every public entry point refuses a malformed exchange matrix, and the
+integer fields of Period2Spec and SearchJob refuse what is not an integer.
 
 Matrices built by mutation, relabeling, negation and the solver skip the
 skew-symmetry check, so the check at each entry point is what keeps them valid.
@@ -7,7 +8,15 @@ skew-symmetry check, so the check at each entry point is what keeps them valid.
 import pytest
 
 import quiverperiod.families as fm
-from quiverperiod import ExchangeMatrix, QuiverError, SystemSpec, extract_system
+from quiverperiod import (
+    ONE_CYCLE,
+    ExchangeMatrix,
+    Period2Spec,
+    QuiverError,
+    SearchJob,
+    SystemSpec,
+    extract_system,
+)
 from quiverperiod.formats import (
     QUIVER_FORMAT,
     SEED_FORMAT,
@@ -74,3 +83,33 @@ def test_from_rows_takes_numpy_integers_and_refuses_bools_and_strings():
     for bad in (True, "2", 2.0):
         with pytest.raises(QuiverError, match=r"entry b\[1\]\[2\] must be an integer"):
             ExchangeMatrix.from_rows([[0, bad], [-2, 0]])
+
+
+SPEC = Period2Spec(5, ONE_CYCLE, 2)
+
+# case: (builder of one bad value, the field it names); a float, even an
+# integral one, a bool and a string are refused when built, not later in
+# schedule or search
+BAD_FIELDS = {
+    "spec-k": (lambda x: Period2Spec(5, ONE_CYCLE, x), "k"),
+    "spec-n": (lambda x: Period2Spec(x, ONE_CYCLE, 2), "n"),
+    "job-bound": (lambda x: SearchJob(SPEC, x), "bound"),
+    "job-jobs": (lambda x: SearchJob(SPEC, 2, jobs=x), "jobs"),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_spec_and_job_fields_must_be_integers(case, bad):
+    build, name = BAD_FIELDS[case]
+    with pytest.raises(QuiverError, match=rf"^{name} must be an integer$"):
+        build(bad)
+
+
+def test_spec_and_job_take_numpy_integers():
+    np = pytest.importorskip("numpy")
+    spec = Period2Spec(np.int64(5), ONE_CYCLE, np.int32(2))
+    job = SearchJob(spec, np.int16(2), jobs=np.int8(1))
+    assert spec == SPEC and type(spec.n) is int and type(spec.k) is int
+    assert (job.bound, job.jobs) == (2, 1) and type(job.bound) is int and type(job.jobs) is int
+    assert spec.schedule == SPEC.schedule

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,8 +10,11 @@ import pytest
 
 from quiverperiod.cli import main
 from quiverperiod.formats import quiver_from_json, quiver_to_json, trace_from_json, trace_to_json
-from quiverperiod import ExchangeMatrix, extract_system, iterate_system
+from quiverperiod import BUILTIN_TEMPLATES, ExchangeMatrix, extract_system, iterate_system
+from quiverperiod.reductions import SECTION_TAGS
+from quiverperiod.report import Report, Row
 import quiverperiod.families as fm
+import quiverperiod.reductions as reductions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -187,15 +191,19 @@ class TestSearchCommand:
         assert run_cli(args, capsys) == base
         assert base[0] == 0 and base[2].startswith("# ")
 
-    @pytest.mark.parametrize("env", ["-3", "0"])
-    def test_nonpositive_jobs_env_exit_2(self, env, monkeypatch, capsys):
+    @pytest.mark.parametrize("env, message", [
+        ("-3", "QUIVERPERIOD_JOBS must be >= 1, got -3"),
+        ("0", "QUIVERPERIOD_JOBS must be >= 1, got 0"),
+        ("abc", "QUIVERPERIOD_JOBS='abc' is not an integer"),
+    ], ids=["-3", "0", "abc"])
+    def test_bad_jobs_env_exit_2(self, env, message, monkeypatch, capsys):
         monkeypatch.setenv("QUIVERPERIOD_JOBS", env)
         code, out, err = run_cli(
             ["search", "--n", "3", "--shape", "1cycle", "--k", "2", "--bound", "1"], capsys
         )
         assert code == 2
         assert out == ""
-        assert err == f"error: QUIVERPERIOD_JOBS must be >= 1, got {env}\n"
+        assert err == f"error: {message}\n"
 
 
 class TestTsysCommands:
@@ -645,6 +653,18 @@ def test_period_only_for_expression_templates(tmp_path, capsys):
     assert code == 0 and out == "custom: period 1 over 7 steps: periodic\n"
 
 
+def test_unknown_builtin_template_exit_2(tmp_path, capsys):
+    (tmp_path / "trace.json").write_text(_LONG_TRACE)
+    code, out, err = run_cli(
+        ["tsys", "verify-periodic", "--trace", str(tmp_path / "trace.json"),
+         "--template", "builtin:nope"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown builtin template 'nope'; have {sorted(BUILTIN_TEMPLATES)}\n"
+    assert all(name in err for name in ("s81", "s82", "s83", "s84", "s85", "s86"))
+
+
 def test_horizon_beyond_the_trace_exit_2(tmp_path, capsys):
     # the 8-value trace serves s81 (max offset 1, period 2) up to horizon 5
     (tmp_path / "trace.json").write_text(_LONG_TRACE)
@@ -754,6 +774,39 @@ class TestReproduce:
         assert code == 0
         data = json.loads(out.split("\n", 1)[1])
         assert data["seed"] == 7 and data["ok"] is True
+
+    @pytest.mark.parametrize("failing", [None, "s84"])
+    def test_sec8_rows_in_section_order(self, failing, monkeypatch, capsys):
+        # verify_section stubbed: sec8 checks every tag in SECTION_TAGS order
+        # with 3 seeds and horizon 30, on one generator seeded by --seed, and
+        # exits 1 when any row fails
+        calls = []
+
+        def fake(tag, seeds, horizon, rng):
+            if not calls:
+                assert rng.getstate() == random.Random(5).getstate()
+            calls.append((tag, seeds, horizon, rng))
+            return Report(tag, [Row(f"{tag} first", True, "d"),
+                                Row(f"{tag} second", tag != failing)])
+
+        monkeypatch.setattr(reductions, "verify_section", fake)
+        code, out, err = run_cli(["reproduce", "sec8", "--seed", "5"], capsys)
+        assert [c[:3] for c in calls] == [(tag, 3, 30) for tag in SECTION_TAGS]
+        assert len({id(c[3]) for c in calls}) == 1
+        assert (code, err) == (0 if failing is None else 1, "")
+        labels = [f"{tag} {which}" for tag in SECTION_TAGS for which in ("first", "second")]
+        rows = [f"[{'FAIL' if label == f'{failing} second' else 'PASS'}] {label}"
+                + ("  (d)" if label.endswith("first") else "") for label in labels]
+        summary = f"{'OK' if failing is None else 'FAILED'}: 12 checks"
+        assert out.splitlines() == ["# section sec8 (seed 5)", *rows, summary]
+        calls.clear()
+        code, out, _ = run_cli(["reproduce", "sec8", "--seed", "5", "--format", "structured"],
+                               capsys)
+        header, body = out.split("\n", 1)
+        data = json.loads(body)
+        assert header == "# section sec8 (seed 5)" and code == (0 if failing is None else 1)
+        assert (data["section"], data["seed"], data["ok"]) == ("sec8", 5, failing is None)
+        assert [c["label"] for c in data["checks"]] == labels
 
 
 @pytest.mark.parametrize("script", ["reproduce_all.py", "search_quivers.py"])

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import numbers
 import random
 from fractions import Fraction as F
 from math import gcd, prod
@@ -15,11 +17,17 @@ from quiverperiod import (
     Period2Spec,
     QuiverError,
     Seed,
+    extract_system,
+    initial_window_from_seed,
+    iterate_system,
     laurent_check,
     mutate,
     mutate_seed,
     permute,
+    required_window,
     run_orbit,
+    somos_reduce,
+    template_search,
 )
 import quiverperiod.cluster as cluster
 import quiverperiod.families as fm
@@ -507,6 +515,83 @@ class TestSIntegers:
         lone = _SBase([F(65537 * 65539)])
         got = lone.lift(F(1)) - lone.lift(F(-65536))
         assert type(got) is F and got == 65537
+
+    # ints and Fractions whose primes all join the base; OUTSIDE has a prime
+    # no drawn value has, so each operator with it takes the Fraction route
+    SMALL = st.one_of(st.integers(-40, 40),
+                      st.fractions(min_value=-40, max_value=40, max_denominator=40))
+    OUTSIDE = F(3, 10007)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(SMALL, SMALL, st.integers(0, 4))
+    def test_claimed_operators_match_fractions(self, u, v, k):
+        # value and type of every claimed operator against the Fraction
+        # computation, with S-integers on one or both sides; _plain is the
+        # one way out, and a Fraction it builds is reduced (== compares the
+        # stored numerator and denominator)
+        a, b, c = F(u), F(v), self.OUTSIDE
+        base = _SBase([a, b])
+        sa, sb = base.lift(a), base.lift(b)
+        assert type(sa) is _SInt and type(sb) is _SInt and base.lift(c) is None
+        cases = [
+            (sa + sb, a + b), (sa + v, a + b), (u + sb, a + b), (sa + c, a + c),
+            (sa - sb, a - b), (sa - v, a - b), (sa - c, a - c),
+            (sa * sb, a * b), (sa * v, a * b), (u * sb, a * b), (sa * c, a * c),
+            (sa / c, a / c), (sa ** k, a ** k), ((sa - sb) ** k, (a - b) ** k),
+            ((sa * sb + sa) * (sb - 1), (a * b + a) * (b - 1)),
+        ]
+        if b:
+            cases += [(sa / sb, a / b), (sa / v, a / b), (u / sb, a / b),
+                      (c / sb, c / b), ((sa + sb) / sb, (a + b) / b)]
+        for got, want in cases:
+            out = cluster._plain(got)
+            assert type(out) in (int, F) and out == want and hash(out) == hash(want)
+        for x, want in [(sa, a), (sa + sb, a + b), (sa * c, a * c)]:
+            for y in (a, b, u, v, c, 0, 1, sb):
+                assert (x == y) is (want == cluster._plain(y))
+                if type(y) is not _SInt:
+                    assert (y == x) is (y == want)
+
+    @pytest.mark.parametrize("op", [
+        hash, bool, lambda a: -a, lambda a: 1 - a, lambda a: F(1, 2) - a, lambda a: a < 2,
+        abs, float, lambda a: a // a, F,
+    ])
+    def test_unclaimed_operators_raise(self, op):
+        # an S-integer is no numbers.Rational: what it does not claim raises,
+        # the zero S-integer's truth value included
+        base = _SBase([F(3, 2), F(6)])
+        for a in (base.lift(F(3, 2)), base.lift(F(0)), base.lift(F(6)) * base.lift(F(3, 2))):
+            assert type(a) is _SInt and not isinstance(a, numbers.Rational)
+            with pytest.raises(TypeError):
+                op(a)
+
+    def test_public_outputs_hold_no_s_integer(self):
+        # run_orbit, iterate_system, somos_reduce and template_search compute
+        # on S-integers and hand back ints and Fractions only
+        def walk(v):
+            assert type(v) is not _SInt
+            if isinstance(v, dict):
+                v = [*v.keys(), *v.values()]
+            elif dataclasses.is_dataclass(v):
+                v = [getattr(v, f.name) for f in dataclasses.fields(v)]
+            elif not isinstance(v, (list, tuple)):
+                return [v]
+            return [leaf for x in v for leaf in walk(x)]
+
+        family = fm.FAMILY_BY_KEY["n4-k2-1"]
+        B, spec = family.matrix(n=1), family.spec
+        x0 = (1, F(2, 3), -3, F(5))
+        outputs = [run_orbit(Seed(B, x0, (2, F(1, 3), 5, 7)), spec, 8)]
+        for kind in ("T", "Y", "TZ"):
+            tsys = extract_system(B, spec, kind)
+            window = initial_window_from_seed(tsys, x0) if kind != "Y" else {
+                name: [F(i + 2, 3) for i in range(size)]
+                for name, size in required_window(tsys).items()}
+            outputs.append(iterate_system(tsys, window, 10))
+        outputs += [somos_reduce("s82", 1, steps=12), somos_reduce("s86", 2, steps=12),
+                    template_search(outputs[1], shift_bound=2, exp_bound=1)]
+        leaves = walk(outputs)
+        assert sum(type(v) is F for v in leaves) > 100
 
 
 def _bits(data, label):
