@@ -37,6 +37,7 @@ from .quiver import (
     Period2Spec,
     QuiverError,
     is_period2,
+    _integer,
     _mutate_row,
     mutate,
 )
@@ -960,6 +961,7 @@ def run_orbit(
     there every exchange divides exactly (the Laurent phenomenon), so a
     NonLaurentError means a bug.
     """
+    steps = _integer(steps, "steps")
     seq: dict[str, list] = {"z": [], "y": [], "A": [], "B": []}
     states = [s0] if keep_states else None
     for u, (k0, B, x, y_at) in enumerate(_orbit(s0, spec, steps)):
@@ -1001,5 +1003,6 @@ def laurent_check(B: ExchangeMatrix, spec: Period2Spec, depth: int) -> LaurentRe
     The values are formed in F-polynomial coordinates (_Separation), never by
     Laurent-polynomial products in x; tests/oracles.py::laurent_values_direct
     forms them by mutate_seed's products and checks them."""
+    depth = _integer(depth, "depth")
     orbit = _orbit(Seed.initial(B), spec, depth)  # each step's k, then the x after it
     return LaurentReport(depth, [x[k] for (k, *_), (_, _, x, _) in pairwise(orbit)])

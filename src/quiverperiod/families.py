@@ -17,6 +17,7 @@ from .quiver import (
     ExchangeMatrix,
     Period2Spec,
     QuiverError,
+    _integer,
     find_relabeling,
     is_connected,
     is_period2,
@@ -304,8 +305,9 @@ def verify_theorem(
     """
     from .search import SearchJob, search
 
-    if max_param < 0:
+    if (max_param := _integer(max_param, "max_param")) < 0:
         raise QuiverError(f"max_param must be >= 0, got {max_param}")
+    search_bound = None if search_bound is None else _integer(search_bound, "search_bound")
     report = Report(theorem)
     fams = families_of(theorem)
     for fam in fams:

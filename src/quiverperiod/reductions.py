@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cluster import _lift_all, _plain
 from .families import section_family
-from .quiver import QuiverError
+from .quiver import QuiverError, _integer
 from .report import Report, Row
 from .systems import (
     BUILTIN_TEMPLATES,
@@ -234,6 +234,7 @@ def verify_section(
     runs otherwise) plus the suite's reduction checks."""
     if tag not in SECTION_TAGS:
         raise QuiverError(f"unknown section tag {tag!r}")
+    seeds, horizon = _integer(seeds, "seeds"), _integer(horizon, "horizon")
     rng = rng or random.Random(20240 + int(tag[1:]))
 
     def draw():

@@ -13,9 +13,11 @@ with s = sigma and eps(a, c, d) = (|b[a][c]| b[c][d] + b[a][c] |b[c][d]|) / 2.
 The solver runs a depth-first enumeration that checks each equation as soon as
 its support is assigned.  Once a single pair of an equation is unassigned, the
 residual is linear in its value on each side of 0, so it is solved in closed
-form.  Every residual is odd under B -> -B: the solver branches on 0..bound
-alone until it assigns a nonzero value, and reports each solution with its
-negation.  This keeps the 6-vertex bound-2 job (5^15 candidates) tractable.
+form, from the equation's view for that pair, built once; the solver tracks the
+sum of each equation's unassigned pairs, which is then that pair.  Every
+residual is odd under B -> -B: the solver branches on 0..bound alone until it
+assigns a nonzero value, and reports each solution with its negation.  This
+keeps the 6-vertex bound-2 job (5^15 candidates) tractable.
 """
 
 from __future__ import annotations
@@ -56,8 +58,11 @@ class _Equation:
 
     LHS - RHS = sum(c * v[t] for t, c in terms)
               + sum(s * eps(sa * v[ta], sc * v[tc]) for s, ta, sa, tc, sc in eps)
-    with eps(a, c) = (|a| c + a |c|) / 2.  Compared by identity: the solver
-    keeps its state in lists indexed by equation, never in sets of equations.
+    with eps(a, c) = (|a| c + a |c|) / 2.  views[t], t in the support, splits
+    this with t free: (slope of t in terms, the eps terms with t as (side, sign
+    of t, sign of the other pair, other pair), terms without t, eps without t).
+    Compared by identity: the solver keeps its state in lists indexed by
+    equation, never in sets of equations.
     """
 
     pair: Pair
@@ -65,6 +70,7 @@ class _Equation:
     terms: tuple[tuple[int, int], ...]
     eps: tuple[tuple[int, int, int, int, int], ...]
     support: tuple[int, ...]
+    views: dict[int, tuple[int, tuple, tuple, tuple]]
 
 
 def _equations(spec: Period2Spec) -> list[_Equation]:
@@ -96,16 +102,26 @@ def _equations(spec: Period2Spec) -> list[_Equation]:
             if wanted and a is not None and c is not None:
                 eps.append((side, *a, *c))
         support = tuple(sorted({lt, rt, *(t for e in eps for t in (e[1], e[3]))}))
-        eqs.append(_Equation((i, j), case, terms, tuple(eps), support))
+        views = {  # see _Equation
+            t: (
+                sum(c for s, c in terms if s == t),
+                tuple((side, sa, sc, tc) if ta == t else (side, sc, sa, ta)
+                      for side, ta, sa, tc, sc in eps if t in (ta, tc)),
+                tuple(x for x in terms if x[0] != t),
+                tuple(x for x in eps if t not in (x[1], x[3])),
+            )
+            for t in support
+        }
+        eqs.append(_Equation((i, j), case, terms, tuple(eps), support, views))
     return eqs
 
 
-def _eval_eq(eq: _Equation, val: Sequence[int]) -> int:
-    """Residual value LHS - RHS; all support pairs must be assigned."""
+def _eval(terms: Sequence, eps: Sequence, val: Sequence[int]) -> int:
+    """Terms and eps terms (see _Equation) summed at val; their pairs must be set."""
     r = 0
-    for t, c in eq.terms:
+    for t, c in terms:
         r += c * val[t]
-    for side, ta, sa, tc, sc in eq.eps:
+    for side, ta, sa, tc, sc in eps:
         a, c = sa * val[ta], sc * val[tc]
         r += side * ((abs(a) * c + a * abs(c)) // 2)
     return r
@@ -123,15 +139,7 @@ def residual_report(
     if B.n != spec.n:
         raise QuiverError(f"degree mismatch: matrix {B.n}, spec {spec.n}")
     val = [B.b(i, j) for i, j in _pairs(B.n)]
-    return [(eq.pair, eq.case, _eval_eq(eq, val)) for eq in _equations(spec)]
-
-
-def _roots(f0: int, slope: int, lo: int, hi: int) -> Sequence[int]:
-    """The x in lo..hi, ascending, with f0 + slope * x == 0."""
-    if slope == 0:
-        return range(lo, hi + 1) if f0 == 0 else ()
-    x, r = divmod(-f0, slope)
-    return (x,) if r == 0 and lo <= x <= hi else ()
+    return [(eq.pair, eq.case, _eval(eq.terms, eq.eps, val)) for eq in _equations(spec)]
 
 
 class _Solver:
@@ -139,7 +147,8 @@ class _Solver:
 
     val[t] is the value of pair t or None; free[e] counts the unassigned
     support pairs of equation e, so an assignment revisits only the equations
-    it touches; done[e] marks an equation that holds whatever is still free.
+    it touches, and free_sum[e] sums them, so it is the free pair when
+    free[e] == 1; done[e] marks an equation that holds whatever is still free.
     nonzero counts the assigned nonzero values; while it is 0, every value is
     0 and a branch takes only 0..bound, since a state and its negation have
     mirrored picks and propagations.
@@ -157,7 +166,8 @@ class _Solver:
         for t, v in (prefix or {}).items():
             self.val[t] = v
         self.nonzero = sum(1 for v in self.val if v)
-        self.free = [sum(self.val[t] is None for t in eq.support) for eq in self.equations]
+        unset = [[t for t in eq.support if self.val[t] is None] for eq in self.equations]
+        self.free, self.free_sum = [len(u) for u in unset], [sum(u) for u in unset]
         self.done = [False] * len(self.equations)
 
     def solutions(self) -> Iterator[tuple[int, ...]]:
@@ -168,45 +178,49 @@ class _Solver:
         """Set pair t and queue the equations left with at most one free pair."""
         self.val[t] = v
         self.nonzero += v != 0
-        free = self.free
+        free, free_sum = self.free, self.free_sum
         for e in self.eqs_of_pair[t]:
             free[e] -= 1
+            free_sum[e] -= t
             if free[e] <= 1:
                 queue.append(e)
 
     def _unassign(self, t: int) -> None:
         self.nonzero -= self.val[t] != 0
         self.val[t] = None
+        free, free_sum = self.free, self.free_sum
         for e in self.eqs_of_pair[t]:
-            self.free[e] += 1
+            free[e] += 1
+            free_sum[e] += t
 
     def _fits(self, eq: _Equation, t: int) -> list[int]:
         """The x in -bound..bound, ascending, solving eq with its one free pair
         t set to x: f0 + neg * x = 0 for x <= 0, f0 + pos * x = 0 for x >= 0,
         as eps(s * x, f) is x (f + s |f|) / 2 if x > 0, x (s |f| - f) / 2 if x < 0."""
         val = self.val
-        f0 = pos = neg = 0
-        for s, c in eq.terms:
-            if s == t:
-                pos, neg = pos + c, neg + c
-            else:
-                f0 += c * val[s]
-        for side, ta, sa, tc, sc in eq.eps:
-            if t in (ta, tc):
-                s, f = (sa, sc * val[tc]) if ta == t else (sc, sa * val[ta])
-                pos += side * ((f + s * abs(f)) // 2)
-                neg += side * ((s * abs(f) - f) // 2)
-            else:
-                a, c = sa * val[ta], sc * val[tc]
-                f0 += side * ((abs(a) * c + a * abs(c)) // 2)
+        pos, near, terms, eps = eq.views[t]
+        neg = pos
+        for side, s, so, o in near:
+            f = so * val[o]
+            pos += side * ((f + s * abs(f)) // 2)
+            neg += side * ((s * abs(f) - f) // 2)
+        f0 = _eval(terms, eps, val)
         b = self.bound
-        return [*_roots(f0, neg, -b, -1), *_roots(f0, 0, 0, 0), *_roots(f0, pos, 1, b)]
+        if not f0:  # 0 fits, and a whole side fits where its slope is 0
+            return [*(() if neg else range(-b, 0)), 0, *(() if pos else range(1, b + 1))]
+        fits = []
+        for slope, lo, hi in ((neg, -b, -1), (pos, 1, b)):
+            if slope:
+                x, r = divmod(-f0, slope)
+                if not r and lo <= x <= hi:
+                    fits.append(x)
+        return fits
 
     def _propagate(self, queue: list[int]) -> tuple[list[int], list[int], bool]:
         """Check the queued equations, assign each pair that one of them
         forces, and check what that touches in turn; returns (pairs assigned,
         equations done, consistent)."""
-        val, free, done = self.val, self.free, self.done
+        val, free, free_sum, done = self.val, self.free, self.free_sum, self.done
         assigned: list[int] = []
         closed: list[int] = []
         while queue:
@@ -215,7 +229,7 @@ class _Solver:
                 continue
             eq = self.equations[e]
             if free[e] == 1:
-                t = next(t for t in eq.support if val[t] is None)
+                t = free_sum[e]
                 fits = self._fits(eq, t)
                 if not fits:
                     return assigned, closed, False
@@ -224,7 +238,7 @@ class _Solver:
                     assigned.append(t)
                 elif len(fits) <= 2 * self.bound:
                     continue
-            elif _eval_eq(eq, val) != 0:
+            elif _eval(eq.terms, eq.eps, val) != 0:
                 return assigned, closed, False
             done[e] = True
             closed.append(e)
@@ -243,7 +257,7 @@ class _Solver:
             if ok:
                 if None not in self.val:
                     if all(
-                        d or _eval_eq(eq, self.val) == 0
+                        d or _eval(eq.terms, eq.eps, self.val) == 0
                         for d, eq in zip(self.done, self.equations)
                     ):
                         yield tuple(self.val)
@@ -286,11 +300,18 @@ def search(job: SearchJob) -> Iterator[ExchangeMatrix]:
             found = [v for chunk in pool.imap_unordered(_solve_prefix, tasks) for v in chunk]
     else:
         found = _solve_prefix((spec, bound, None))
+    n, pairs = spec.n, _pairs(spec.n)
+
+    def matrix(v: tuple[int, ...]) -> ExchangeMatrix:  # ints within the bound: no check
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(pairs, v):
+            rows[i - 1][j - 1], rows[j - 1][i - 1] = x, -x
+        return ExchangeMatrix._unchecked(tuple(map(tuple, rows)))
+
     # value tuples sort as the flattened matrices do: the first entry where
     # two flattened matrices differ is always above the diagonal, since each
     # entry below it negates one above it that comes earlier
-    pairs = _pairs(spec.n)
-    results = (ExchangeMatrix.from_entries(spec.n, dict(zip(pairs, v))) for v in sorted(found))
+    results = map(matrix, sorted(found))
     if job.connected_only:
         results = filter(is_connected, results)
     if job.canonicalize:

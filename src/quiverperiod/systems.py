@@ -28,6 +28,7 @@ from .quiver import (
     Period2Error,
     Period2Spec,
     QuiverError,
+    _integer,
     is_period2,
     mutate,
 )
@@ -419,7 +420,7 @@ def iterate_system(
     len(result["z"]) - required_window(sys)["z"].  Returns the extended
     sequences as Fractions; a T-kind system runs on S-integers (cluster._SInt).
     """
-    if steps < 0:
+    if (steps := _integer(steps, "steps")) < 0:
         raise QuiverError("steps must be >= 0")
     if bit_budget is not None and bit_budget < 1:
         raise QuiverError(f"bit budget must be >= 1, got {bit_budget}")
@@ -631,6 +632,7 @@ def template_search(
     Fractions, from its smallest screened period up.  A trace value whose
     denominator the prime divides keeps the keys exact instead.
     """
+    shift_bound, exp_bound = _integer(shift_bound, "shift_bound"), _integer(exp_bound, "exp_bound")
     if shift_bound < 0 or exp_bound < 1 or max_period < 1:
         raise QuiverError(
             "template search needs shift_bound >= 0, exp_bound >= 1 and max_period >= 1, "

@@ -1,5 +1,6 @@
 """Every public entry point refuses a malformed exchange matrix, and the
-integer fields of Period2Spec and SearchJob refuse what is not an integer.
+integer fields of Period2Spec and SearchJob, and the count arguments of the
+library's iterating entry points, refuse what is not an integer.
 
 Matrices built by mutation, relabeling, negation and the solver skip the
 skew-symmetry check, so the check at each entry point is what keeps them valid.
@@ -13,9 +14,17 @@ from quiverperiod import (
     ExchangeMatrix,
     Period2Spec,
     QuiverError,
+    Seed,
     SearchJob,
     SystemSpec,
     extract_system,
+    initial_window_from_seed,
+    iterate_system,
+    laurent_check,
+    run_orbit,
+    template_search,
+    verify_section,
+    verify_theorem,
 )
 from quiverperiod.formats import (
     QUIVER_FORMAT,
@@ -104,6 +113,46 @@ def test_spec_and_job_fields_must_be_integers(case, bad):
     build, name = BAD_FIELDS[case]
     with pytest.raises(QuiverError, match=rf"^{name} must be an integer$"):
         build(bad)
+
+
+def _count_cases():
+    family = fm.FAMILY_BY_KEY["n4-k2-1"]
+    B = family.matrix(n=1)
+    tsys = SystemSpec.from_dict(_system(None))
+    window = initial_window_from_seed(tsys, (1, 2, 3, 4))
+    trace = iterate_system(tsys, window, 12)
+    return {
+        "run_orbit-steps": (lambda x: run_orbit(Seed.initial(B), family.spec, x), "steps"),
+        "laurent_check-depth": (lambda x: laurent_check(B, family.spec, x), "depth"),
+        "iterate_system-steps": (lambda x: iterate_system(tsys, window, x), "steps"),
+        "verify_section-seeds": (lambda x: verify_section("s81", seeds=x, horizon=5), "seeds"),
+        "verify_section-horizon": (lambda x: verify_section("s81", seeds=1, horizon=x), "horizon"),
+        "verify_theorem-max_param": (lambda x: verify_theorem("N3", x), "max_param"),
+        "verify_theorem-search_bound": (
+            lambda x: verify_theorem("N3", 0, search_bound=x), "search_bound"
+        ),
+        "template_search-shift_bound": (lambda x: template_search(trace, x, 1), "shift_bound"),
+        "template_search-exp_bound": (lambda x: template_search(trace, 1, x), "exp_bound"),
+    }
+
+
+# case: (call with one bad count, the argument it names); each call runs with
+# an integer in its place, so the refusal is the argument's doing
+BAD_COUNTS = _count_cases()
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_count_arguments_must_be_integers(case, bad):
+    call, name = BAD_COUNTS[case]
+    with pytest.raises(QuiverError, match=rf"^{name} must be an integer$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_count_arguments_take_integers(case):
+    call, _ = BAD_COUNTS[case]
+    call(1)
 
 
 def test_spec_and_job_take_numpy_integers():

@@ -221,3 +221,45 @@ def test_fits_match_scan_oracle():
                         sizes.add(min(len(got), 2))
     # the test saw equations with no, one and several solutions
     assert sizes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_tracked_free_pairs_match_a_scan(n):
+    """free[e] and free_sum[e], kept up to date by _assign and _unassign, against
+    a scan of val after every step of a random assign/unassign walk (unassigning
+    in any order, not only the reverse of assigning)."""
+    for spec in _canonical_specs(n):
+        solver = _Solver(spec, 2)
+        rng = random.Random(f"free-{spec}")
+        m = len(solver.val)
+        assigned = []
+        for _ in range(300):
+            if assigned and (len(assigned) == m or rng.random() < 0.4):
+                t = assigned.pop(rng.randrange(len(assigned)))
+                solver._unassign(t)
+            else:
+                t = rng.choice([s for s in range(m) if solver.val[s] is None])
+                solver._assign(t, rng.randint(-2, 2), [])
+                assigned.append(t)
+            for e, eq in enumerate(solver.equations):
+                unset = [s for s in eq.support if solver.val[s] is None]
+                assert solver.free[e] == len(unset), (spec, e)
+                assert solver.free_sum[e] == sum(unset), (spec, e)
+                if len(unset) == 1:
+                    assert solver.free_sum[e] == unset[0]
+            assert solver.nonzero == sum(1 for v in solver.val if v)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_search_results_match_the_checked_routes(n):
+    """search builds its matrices unchecked: each must equal the checked
+    constructor's matrix of its rows and solve its equation, and the connected
+    results must be is_connected's filter of the full list, in order."""
+    for spec in _canonical_specs(n):
+        full = list(search(SearchJob(spec, 2)))
+        for B in full:
+            assert B == ExchangeMatrix.from_rows(B.rows), (spec, B)
+            assert all(type(x) is int for x in B.flatten())
+            assert is_period2(B, spec), (spec, B)
+        connected = list(search(SearchJob(spec, 2, connected_only=True)))
+        assert connected == list(filter(is_connected, full)), spec
