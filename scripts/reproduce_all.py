@@ -10,8 +10,9 @@ import random
 import sys
 import time
 
-from quiverperiod import verify_theorem
+from quiverperiod import QuiverError, verify_theorem
 from quiverperiod.cli import SECTIONS, CliError, _default_jobs
+from quiverperiod.quiver import _integer
 from quiverperiod.reductions import SECTION_TAGS, verify_section
 
 
@@ -21,14 +22,11 @@ def main() -> int:
     parser.add_argument("--dynamics-seeds", type=int, default=3)
     parser.add_argument("--horizon", type=int, default=30)
     args = parser.parse_args()
-    for name, value, low in (("horizon", args.horizon, 1),
-                             ("dynamics seeds", args.dynamics_seeds, 0)):
-        if value < low:
-            print(f"error: {name} must be >= {low}, got {value}", file=sys.stderr)
-            return 2
     try:
+        _integer(args.horizon, "horizon", least=1)
+        _integer(args.dynamics_seeds, "dynamics seeds", least=0)
         jobs = _default_jobs()
-    except CliError as exc:
+    except (CliError, QuiverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,7 @@ import time
 
 from quiverperiod import ONE_CYCLE, TWO_CYCLE, Period2Spec, QuiverError, SearchJob, search
 from quiverperiod.formats import quiver_to_json
+from quiverperiod.quiver import _integer
 
 
 def specs_for(n: int):
@@ -23,11 +24,9 @@ def main() -> int:
     parser.add_argument("--out", default="-", help="output path ('-' = stdout)")
     args = parser.parse_args()
 
-    if args.max_n < 3:
-        # no job would be built, so --bound and --jobs would go unchecked
-        print(f"error: --max-n must be >= 3, got {args.max_n}", file=sys.stderr)
-        return 2
     try:
+        # below 3 no job would be built, so --bound and --jobs would go unchecked
+        _integer(args.max_n, "--max-n", least=3)
         jobs = [
             SearchJob(spec, args.bound, connected_only=True, jobs=args.jobs)
             for n in range(3, args.max_n + 1)

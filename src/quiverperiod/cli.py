@@ -23,6 +23,7 @@ from .quiver import (
     Period2Error,
     Period2Spec,
     QuiverError,
+    _integer,
     is_connected,
     is_period1,
     mutate,
@@ -98,9 +99,7 @@ def _default_jobs() -> int:
         jobs = int(env)
     except ValueError:
         raise CliError(f"QUIVERPERIOD_JOBS={env!r} is not an integer")
-    if jobs < 1:
-        raise CliError(f"QUIVERPERIOD_JOBS must be >= 1, got {jobs}")
-    return jobs
+    return _integer(jobs, "QUIVERPERIOD_JOBS", least=1)
 
 
 # ---------------------------------------------------------------------------

@@ -901,8 +901,7 @@ def _orbit(s0: Seed, spec: Period2Spec, steps: int):
     """The loop of run_orbit, checked at the call: (k, B, x, y_at) before each
     step and after the last, for k = spec.vertex_at(u) - 1, the live list x
     (S-integers for numbers) and y_at(j), the y at j formed when first read."""
-    if steps < 0:
-        raise QuiverError("steps must be >= 0")
+    steps = _integer(steps, "steps", least=0)
     if not is_period2(s0.B, spec):
         raise Period2Error("seed matrix does not satisfy the period-2 equation")
     if s0.symbolic and s0 != Seed.initial(s0.B):
@@ -961,7 +960,7 @@ def run_orbit(
     there every exchange divides exactly (the Laurent phenomenon), so a
     NonLaurentError means a bug.
     """
-    steps = _integer(steps, "steps")
+    steps = _integer(steps, "steps", least=0)
     seq: dict[str, list] = {"z": [], "y": [], "A": [], "B": []}
     states = [s0] if keep_states else None
     for u, (k0, B, x, y_at) in enumerate(_orbit(s0, spec, steps)):
@@ -1003,6 +1002,6 @@ def laurent_check(B: ExchangeMatrix, spec: Period2Spec, depth: int) -> LaurentRe
     The values are formed in F-polynomial coordinates (_Separation), never by
     Laurent-polynomial products in x; tests/oracles.py::laurent_values_direct
     forms them by mutate_seed's products and checks them."""
-    depth = _integer(depth, "depth")
+    depth = _integer(depth, "depth", least=0)
     orbit = _orbit(Seed.initial(B), spec, depth)  # each step's k, then the x after it
     return LaurentReport(depth, [x[k] for (k, *_), (_, _, x, _) in pairwise(orbit)])

@@ -58,10 +58,9 @@ class Family:
             raise QuiverError(
                 f"family {self.key} takes parameters {self.param_names}, got {sorted(params)}"
             )
-        for name, value in params.items():
-            lo = self.param_min.get(name, 0)
-            if value < lo:
-                raise QuiverError(f"family {self.key}: parameter {name}={value} < {lo}")
+        params = {name: _integer(value, "family {}: parameter {}", self.key, name,
+                                 least=self.param_min.get(name, 0))
+                  for name, value in params.items()}
         return ExchangeMatrix.from_entries(self.spec.n, dict(self.build(**params)))
 
 
@@ -224,6 +223,7 @@ def iter_instances(
     """All instances with each parameter in [its minimum, max_param]."""
     from itertools import product
 
+    max_param = _integer(max_param, "max_param", least=0)
     ranges = []
     for name in fam.param_names:
         lo = fam.param_min.get(name, 0)
@@ -305,9 +305,8 @@ def verify_theorem(
     """
     from .search import SearchJob, search
 
-    if (max_param := _integer(max_param, "max_param")) < 0:
-        raise QuiverError(f"max_param must be >= 0, got {max_param}")
-    search_bound = None if search_bound is None else _integer(search_bound, "search_bound")
+    max_param, jobs = _integer(max_param, "max_param", least=0), _integer(jobs, "jobs", least=1)
+    search_bound = None if search_bound is None else _integer(search_bound, "search_bound", least=1)
     report = Report(theorem)
     fams = families_of(theorem)
     for fam in fams:

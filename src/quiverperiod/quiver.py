@@ -156,14 +156,18 @@ class ExchangeMatrix:
 _ENTRY = "entry b[{}][{}]"
 
 
-def _integer(x, what: str, *at: int) -> int:
-    """x as an int: any integer type but bool.  what.format(*at) names x."""
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise QuiverError(f"{what.format(*at)} must be an integer")
+def _integer(x, what: str, *at, least: int | None = None) -> int:
+    """x as an int: any integer type but bool, and at least `least` when that
+    is given.  what.format(*at) names x."""
+    try:
+        if isinstance(x, bool):
+            raise TypeError
+        x = operator.index(x)
+    except TypeError:
+        raise QuiverError(f"{what.format(*at)} must be an integer") from None
+    if least is not None and x < least:
+        raise QuiverError(f"{what.format(*at)} must be >= {least}, got {x}")
+    return x
 
 
 @dataclass(frozen=True)

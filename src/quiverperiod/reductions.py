@@ -105,8 +105,7 @@ def reduce_somos4(tag: str, value: int, terms: int, bit_budget: int | None = Non
     z-values, seed window included."""
     if tag not in ("s82", "s84"):
         raise QuiverError("reduce_somos4 applies to suites s82 and s84")
-    if terms < 6:
-        raise QuiverError(f"steps must be >= 6 for {tag}, got {terms}")
+    terms = _integer(terms, "steps", least=6)
 
     def step(C, q, z):
         z.append((z[q + 1] * z[q + 3] + C[0] * z[q + 2] ** value) / z[q])
@@ -122,8 +121,7 @@ def reduce_somos4(tag: str, value: int, terms: int, bit_budget: int | None = Non
 def reduce_somos5(value: int, terms: int, bit_budget: int | None = None) -> Row:
     """s86: y(q+5) y(q) = y(q+3) y(q+2) + C y(q+1)^(n-1) y(q+4)^(n-1);
     `terms` counts compared y-values, seed window included."""
-    if terms < 7:
-        raise QuiverError(f"steps must be >= 7 for s86, got {terms}")
+    terms = _integer(terms, "steps", least=7)
     e = value - 1
 
     def step(C, q, y):
@@ -234,7 +232,7 @@ def verify_section(
     runs otherwise) plus the suite's reduction checks."""
     if tag not in SECTION_TAGS:
         raise QuiverError(f"unknown section tag {tag!r}")
-    seeds, horizon = _integer(seeds, "seeds"), _integer(horizon, "horizon")
+    seeds, horizon = _integer(seeds, "seeds", least=0), _integer(horizon, "horizon", least=1)
     rng = rng or random.Random(20240 + int(tag[1:]))
 
     def draw():

@@ -40,11 +40,7 @@ class SearchJob:
 
     def __post_init__(self):
         for name in ("bound", "jobs"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.bound < 1:
-            raise QuiverError("bound must be >= 1")
-        if self.jobs < 1:
-            raise QuiverError("jobs must be >= 1")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least=1))
 
 
 def _pairs(n: int) -> list[Pair]:
@@ -254,20 +250,15 @@ class _Solver:
     def _dfs(self, queue: list[int]) -> Iterator[tuple[int, ...]]:
         assigned, closed, ok = self._propagate(queue)
         try:
-            if ok:
-                if None not in self.val:
-                    if all(
-                        d or _eval(eq.terms, eq.eps, self.val) == 0
-                        for d, eq in zip(self.done, self.equations)
-                    ):
-                        yield tuple(self.val)
-                else:
-                    t = self._pick()
-                    for v in range(-self.bound if self.nonzero else 0, self.bound + 1):
-                        queue = []
-                        self._assign(t, v, queue)
-                        yield from self._dfs(queue)
-                        self._unassign(t)
+            if ok and None not in self.val:
+                yield tuple(self.val)  # propagation has closed every equation
+            elif ok:
+                t = self._pick()
+                for v in range(-self.bound if self.nonzero else 0, self.bound + 1):
+                    queue = []
+                    self._assign(t, v, queue)
+                    yield from self._dfs(queue)
+                    self._unassign(t)
         finally:
             for t in assigned:
                 self._unassign(t)

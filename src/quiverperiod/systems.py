@@ -420,10 +420,8 @@ def iterate_system(
     len(result["z"]) - required_window(sys)["z"].  Returns the extended
     sequences as Fractions; a T-kind system runs on S-integers (cluster._SInt).
     """
-    if (steps := _integer(steps, "steps")) < 0:
-        raise QuiverError("steps must be >= 0")
-    if bit_budget is not None and bit_budget < 1:
-        raise QuiverError(f"bit budget must be >= 1, got {bit_budget}")
+    steps = _integer(steps, "steps", least=0)
+    bit_budget = None if bit_budget is None else _integer(bit_budget, "bit budget", least=1)
     need = required_window(sys)
     _check_slots(sys, need)
     seqs: dict[str, list] = {}
@@ -591,9 +589,8 @@ def verify_periodic(
 ) -> Row:
     """Exact check of value(q + period) == value(q) for q = 0 .. horizon-1;
     the row's detail names the first failing q."""
-    period = template.claimed_period
-    if min(horizon, period) < 1:
-        raise QuiverError(f"horizon ({horizon}) and period ({period}) must be >= 1")
+    horizon = _integer(horizon, "horizon", least=1)
+    period = _integer(template.claimed_period, "period", least=1)
     need = horizon + period + template.max_offset()
     used = {seq for seq, _ in template.slots()}
     for name in ("z", "y"):
@@ -632,12 +629,9 @@ def template_search(
     Fractions, from its smallest screened period up.  A trace value whose
     denominator the prime divides keeps the keys exact instead.
     """
-    shift_bound, exp_bound = _integer(shift_bound, "shift_bound"), _integer(exp_bound, "exp_bound")
-    if shift_bound < 0 or exp_bound < 1 or max_period < 1:
-        raise QuiverError(
-            "template search needs shift_bound >= 0, exp_bound >= 1 and max_period >= 1, "
-            f"got {shift_bound}, {exp_bound} and {max_period}"
-        )
+    shift_bound = _integer(shift_bound, "shift_bound", least=0)
+    exp_bound = _integer(exp_bound, "exp_bound", least=1)
+    max_period = _integer(max_period, "max_period", least=1)
     slots = [(s, off) for s in ("z", "y") for off in range(shift_bound + 1)]
     monomials: list[Monomial] = [_mono(1)]
     for idx, slot in enumerate(slots):
@@ -743,8 +737,7 @@ def check_TZ_condition(Z: dict[str, Sequence], sys: SystemSpec, steps: int = 12)
     """
     if sys.kind not in ("T", "TZ"):
         raise QuiverError("check_TZ_condition needs a T- or TZ-kind system")
-    if steps < 0:
-        raise QuiverError("steps must be >= 0")
+    steps = _integer(steps, "steps", least=0)
     if sys.equations() != extract_system(sys.B0, sys.spec, "T").equations():
         raise QuiverError("check_TZ_condition needs the equations extract_system gives for B")
     factors = [eq.factors() for eq in extract_system(sys.B0, sys.spec, "Y").equations()]

@@ -1,6 +1,7 @@
 """Every public entry point refuses a malformed exchange matrix, and the
 integer fields of Period2Spec and SearchJob, and the count arguments of the
-library's iterating entry points, refuse what is not an integer.
+library's iterating entry points, refuse what is not an integer; a count
+below its least value is refused with one message shape.
 
 Matrices built by mutation, relabeling, negation and the solver skip the
 skew-symmetry check, so the check at each entry point is what keeps them valid.
@@ -10,6 +11,7 @@ import pytest
 
 import quiverperiod.families as fm
 from quiverperiod import (
+    BUILTIN_TEMPLATES,
     ONE_CYCLE,
     ExchangeMatrix,
     Period2Spec,
@@ -17,12 +19,17 @@ from quiverperiod import (
     Seed,
     SearchJob,
     SystemSpec,
+    check_TZ_condition,
     extract_system,
     initial_window_from_seed,
     iterate_system,
     laurent_check,
+    parse_template,
+    regression_instances,
     run_orbit,
+    somos_reduce,
     template_search,
+    verify_periodic,
     verify_section,
     verify_theorem,
 )
@@ -121,38 +128,88 @@ def _count_cases():
     tsys = SystemSpec.from_dict(_system(None))
     window = initial_window_from_seed(tsys, (1, 2, 3, 4))
     trace = iterate_system(tsys, window, 12)
+    ones = {s: [1] * 40 for s in "zy"}
+    s81 = BUILTIN_TEMPLATES["s81"]
     return {
-        "run_orbit-steps": (lambda x: run_orbit(Seed.initial(B), family.spec, x), "steps"),
-        "laurent_check-depth": (lambda x: laurent_check(B, family.spec, x), "depth"),
-        "iterate_system-steps": (lambda x: iterate_system(tsys, window, x), "steps"),
-        "verify_section-seeds": (lambda x: verify_section("s81", seeds=x, horizon=5), "seeds"),
-        "verify_section-horizon": (lambda x: verify_section("s81", seeds=1, horizon=x), "horizon"),
-        "verify_theorem-max_param": (lambda x: verify_theorem("N3", x), "max_param"),
-        "verify_theorem-search_bound": (
-            lambda x: verify_theorem("N3", 0, search_bound=x), "search_bound"
+        "run_orbit-steps": (lambda x: run_orbit(Seed.initial(B), family.spec, x), "steps", 0),
+        "laurent_check-depth": (lambda x: laurent_check(B, family.spec, x), "depth", 0),
+        "iterate_system-steps": (lambda x: iterate_system(tsys, window, x), "steps", 0),
+        "iterate_system-bit_budget": (
+            lambda x: iterate_system(tsys, window, 12, bit_budget=x), "bit budget", 1
         ),
-        "template_search-shift_bound": (lambda x: template_search(trace, x, 1), "shift_bound"),
-        "template_search-exp_bound": (lambda x: template_search(trace, 1, x), "exp_bound"),
+        "check_TZ_condition-steps": (lambda x: check_TZ_condition(ones, tsys, x), "steps", 0),
+        "verify_periodic-horizon": (lambda x: verify_periodic(trace, s81, x), "horizon", 1),
+        "verify_periodic-period": (
+            lambda x: verify_periodic(trace, parse_template("z(q)/y(q)", x), 5), "period", 1
+        ),
+        "verify_section-seeds": (
+            lambda x: verify_section("s81", seeds=x, horizon=5), "seeds", 0
+        ),
+        "verify_section-horizon": (
+            lambda x: verify_section("s81", seeds=1, horizon=x), "horizon", 1
+        ),
+        "verify_theorem-max_param": (lambda x: verify_theorem("N3", x), "max_param", 0),
+        "verify_theorem-search_bound": (
+            lambda x: verify_theorem("N3", 0, search_bound=x), "search_bound", 1
+        ),
+        "verify_theorem-jobs": (lambda x: verify_theorem("N3", 0, jobs=x), "jobs", 1),
+        "regression_instances-max_param": (regression_instances, "max_param", 0),
+        "family-parameter": (
+            lambda x: fm.FAMILY_BY_KEY["n5-2c2-1"].matrix(m=0, n=x),
+            "family n5-2c2-1: parameter n", 2,
+        ),
+        "template_search-shift_bound": (
+            lambda x: template_search(trace, x, 1), "shift_bound", 0
+        ),
+        "template_search-exp_bound": (lambda x: template_search(trace, 1, x), "exp_bound", 1),
+        "template_search-max_period": (
+            lambda x: template_search(trace, 1, 1, x), "max_period", 1
+        ),
+        "somos_reduce-param": (
+            lambda x: somos_reduce("s82", x, 20), "family n5-k2-5: parameter p", 0
+        ),
+        "somos_reduce-steps": (lambda x: somos_reduce("s82", 1, x), "steps", 6),
     }
 
 
-# case: (call with one bad count, the argument it names); each call runs with
-# an integer in its place, so the refusal is the argument's doing
+# case: (call with one bad count, the argument it names, its least value);
+# each call runs with that value in its place, so the refusal is the
+# argument's doing
 BAD_COUNTS = _count_cases()
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
 @pytest.mark.parametrize("case", sorted(BAD_COUNTS))
 def test_count_arguments_must_be_integers(case, bad):
-    call, name = BAD_COUNTS[case]
+    call, name, _ = BAD_COUNTS[case]
     with pytest.raises(QuiverError, match=rf"^{name} must be an integer$"):
         call(bad)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_COUNTS))
 def test_count_arguments_take_integers(case):
-    call, _ = BAD_COUNTS[case]
-    call(1)
+    call, _, least = BAD_COUNTS[case]
+    call(least)
+
+
+# every count argument one below its least value, each with the same message
+# shape; the SearchJob fields and the s86 reducer's own least values as well
+BELOW_LEAST = {
+    **BAD_COUNTS,
+    "job-bound": (lambda x: SearchJob(SPEC, x), "bound", 1),
+    "job-jobs": (lambda x: SearchJob(SPEC, 2, jobs=x), "jobs", 1),
+    "somos_reduce-s86-param": (
+        lambda x: somos_reduce("s86", x, 20), "family n6-k5-2: parameter n", 1
+    ),
+    "somos_reduce-s86-steps": (lambda x: somos_reduce("s86", 2, x), "steps", 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BELOW_LEAST))
+def test_count_below_its_least_value_is_refused(case):
+    call, name, least = BELOW_LEAST[case]
+    with pytest.raises(QuiverError, match=rf"^{name} must be >= {least}, got {least - 1}$"):
+        call(least - 1)
 
 
 def test_spec_and_job_take_numpy_integers():

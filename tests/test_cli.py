@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quiverperiod.cli import main
+from quiverperiod.cli import build_parser, main
 from quiverperiod.formats import quiver_from_json, quiver_to_json, trace_from_json, trace_to_json
 from quiverperiod import BUILTIN_TEMPLATES, ExchangeMatrix, extract_system, iterate_system
 from quiverperiod.reductions import SECTION_TAGS
@@ -176,7 +177,7 @@ class TestSearchCommand:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: jobs must be >= 1\n"
+        assert err == f"error: jobs must be >= 1, got {jobs}\n"
 
     def test_jobs_zero_means_default(self, monkeypatch, capsys):
         monkeypatch.delenv("QUIVERPERIOD_JOBS", raising=False)
@@ -286,7 +287,7 @@ class TestTsysCommands:
             ["tsys", "somos", "--family", family, "--param", "2", "--steps", steps], capsys
         )
         assert (code, out, err) == (
-            2, "", f"error: steps must be >= {least} for {family}, got {steps}\n"
+            2, "", f"error: steps must be >= {least}, got {steps}\n"
         )
 
     def test_somos_stops_at_bit_budget(self, capsys):
@@ -573,6 +574,110 @@ def test_bad_input_file_exit_2(option, case, tmp_path, capsys):
     assert err.count("\n") == 1 and str(path) in err
 
 
+def _commands(parser, path=()):
+    """(command, its parser) for every leaf command of the argparse tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _commands(child, (*path, name))
+
+
+COMMANDS = dict(_commands(build_parser()))
+
+# every command: a command line that exits 0, and the files it reads
+# (placeholders, as in MALFORMED)
+VALID_COMMANDS = {
+    "mutate": (["--quiver", "Q", "--at", "1"], {"Q": MARKOV_JSON}),
+    "check": (["--quiver", "Q", "--shape", "1cycle", "--k", "2"], {"Q": MARKOV_JSON}),
+    "search": (["--n", "3", "--shape", "1cycle", "--k", "2", "--bound", "1"], {}),
+    "verify-theorem": (["--name", "N3", "--max-param", "1"], {}),
+    "tsys extract": (
+        ["--quiver", "Q", "--shape", "1cycle", "--k", "2", "--kind", "y"], {"Q": MARKOV_JSON}
+    ),
+    "tsys iterate": (
+        ["--system", "SYS", "--init", "INIT", "--steps", "2"],
+        {"SYS": _n4_system(), "INIT": _GOOD_INIT},
+    ),
+    "tsys verify-periodic": (["--trace", "T", "--template", "z(q)/y(q)"], {"T": _LONG_TRACE}),
+    "tsys somos": (["--family", "s82", "--param", "1", "--steps", "8"], {}),
+    "orbit": (
+        ["--seed", "S", "--shape", "1cycle", "--k", "2", "--steps", "2"],
+        {"S": json.dumps(_N4_SEED)},
+    ),
+    "reproduce": (["thm3"], {}),
+}
+
+
+def _options(keep):
+    return [(command, action.option_strings[0])
+            for command, parser in COMMANDS.items()
+            for action in parser._actions if action.option_strings and keep(action)]
+
+
+# the integer options, and the options naming a file to write
+INT_OPTIONS = _options(lambda action: action.type is int)
+OUTPUT_OPTIONS = _options(lambda action: "write" in (action.help or ""))
+
+
+def _sweep(command, option, value, tmp_path, capsys, monkeypatch):
+    """Run the command's valid line with option set to value, in-process:
+    (exit code, stdout, stderr); argparse's exit is caught."""
+    monkeypatch.delenv("QUIVERPERIOD_JOBS", raising=False)
+    args, files = VALID_COMMANDS[command]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    args = [str(tmp_path / arg) if arg in files else arg for arg in args]
+    if option in args:
+        args[args.index(option) + 1] = value
+    elif option is not None:
+        args += [option, value]
+    try:
+        code = main([*command.split(), *args])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+def _one_error_line(err):
+    return sum("error:" in line for line in err.splitlines()) == 1
+
+
+def test_sweep_covers_every_command_and_option():
+    assert sorted(VALID_COMMANDS) == sorted(COMMANDS)
+    assert sorted(OUTPUT_OPTIONS) == [("mutate", "--dot"), ("orbit", "--csv")]
+    assert {("mutate", "--at"), ("tsys somos", "--bit-budget")} <= set(INT_OPTIONS)
+
+
+@pytest.mark.parametrize("command", sorted(VALID_COMMANDS))
+def test_valid_command_line_exits_0(command, tmp_path, capsys, monkeypatch):
+    # so that each exit 2 below is the swept option's doing
+    code, out, err = _sweep(command, None, None, tmp_path, capsys, monkeypatch)
+    assert code == 0 and out and "error" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "x"])
+@pytest.mark.parametrize("command, option", INT_OPTIONS)
+def test_integer_option_sweep(command, option, value, tmp_path, capsys, monkeypatch):
+    """-1 and 0 are run or refused with one error line, never a traceback; a
+    non-number is argparse's usage error."""
+    code, out, err = _sweep(command, option, value, tmp_path, capsys, monkeypatch)
+    assert code == 2 if value == "x" else code in (0, 2)
+    assert code == 0 or (out == "" and _one_error_line(err)), err
+
+
+@pytest.mark.parametrize("target", ["missing/out", "."])
+@pytest.mark.parametrize("command, option", OUTPUT_OPTIONS)
+def test_output_option_sweep(command, option, target, tmp_path, capsys, monkeypatch):
+    code, out, err = _sweep(command, option, str(tmp_path / target), tmp_path, capsys,
+                            monkeypatch)
+    assert (code, out) == (2, "") and err.startswith("error: cannot write")
+    assert _one_error_line(err), err
+
+
 def _set(path, value):
     """An edit of a system-v1 dict: set the item at path, or delete it when value is None."""
 
@@ -697,7 +802,7 @@ class TestOrbitCommand:
         spath.write_text(json.dumps(seed))
         argv = ["orbit", "--seed", str(spath), "--shape", "1cycle", "--steps"]
         code, out, err = run_cli(argv + ["-1", "--k", "2"], capsys)
-        assert code == 2 and out == "" and err == "error: steps must be >= 0\n"
+        assert code == 2 and out == "" and err == "error: steps must be >= 0, got -1\n"
         # a seed that fails its period-2 equation is a failed check
         code, _, err = run_cli(argv + ["2", "--k", "3"], capsys)
         assert code == 1 and "period-2 equation" in err
@@ -830,7 +935,7 @@ def test_search_script_rejects_jobs_zero(tmp_path):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 2
-    assert proc.stderr == "error: jobs must be >= 1\n"
+    assert proc.stderr == "error: jobs must be >= 1, got 0\n"
     assert not out.exists()
 
 

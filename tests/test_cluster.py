@@ -995,7 +995,7 @@ class TestLaurentCheck:
             assert typed(rep.values) == typed(laurent_values_direct(B, spec, 6)), fid
 
     def test_negative_depth_raises(self):
-        with pytest.raises(QuiverError, match="steps must be >= 0"):
+        with pytest.raises(QuiverError, match="^depth must be >= 0, got -1$"):
             laurent_check(MARKOV, Period2Spec(3, ONE_CYCLE, 2), -1)
 
     def test_non_laurent_exchange_raises(self):

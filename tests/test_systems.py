@@ -702,9 +702,16 @@ class TestTemplateSearch:
         found = template_search(trace, 2, 1)
         assert _search_key(found) == _search_key(template_search_direct(trace, 2, 1))
 
-    @pytest.mark.parametrize("bounds", [(-1, 1, 4), (2, 0, 4), (2, 1, 0)])
+    # (shift_bound, exp_bound, max_period): the message
+    VACUOUS = {
+        (-1, 1, 4): "shift_bound must be >= 0, got -1",
+        (2, 0, 4): "exp_bound must be >= 1, got 0",
+        (2, 1, 0): "max_period must be >= 1, got 0",
+    }
+
+    @pytest.mark.parametrize("bounds", list(VACUOUS))
     def test_vacuous_search_rejected(self, bounds):
-        with pytest.raises(QuiverError, match="template search needs"):
+        with pytest.raises(QuiverError, match=f"^{self.VACUOUS[bounds]}$"):
             template_search(_n4_trace(14), *bounds)
 
 
