@@ -220,19 +220,14 @@ def family_spec(fid: FamilyId) -> Period2Spec:
 def iter_instances(
     fam: Family, max_param: int
 ) -> Iterator[tuple[FamilyId, ExchangeMatrix]]:
-    """All instances with each parameter in [its minimum, max_param]."""
+    """All instances with each parameter in [its minimum, max_param]; max_param
+    is checked at the call, before the first instance is asked for."""
     from itertools import product
 
     max_param = _integer(max_param, "max_param", least=0)
-    ranges = []
-    for name in fam.param_names:
-        lo = fam.param_min.get(name, 0)
-        if lo > max_param:
-            return
-        ranges.append(range(lo, max_param + 1))
-    for combo in product(*ranges):
-        params = dict(zip(fam.param_names, combo))
-        yield FamilyId(fam.theorem, fam.index, params), fam.matrix(**params)
+    ranges = [range(fam.param_min.get(name, 0), max_param + 1) for name in fam.param_names]
+    params = (dict(zip(fam.param_names, combo)) for combo in product(*ranges))
+    return ((FamilyId(fam.theorem, fam.index, p), fam.matrix(**p)) for p in params)
 
 
 def negate(B: ExchangeMatrix) -> ExchangeMatrix:

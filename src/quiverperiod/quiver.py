@@ -185,8 +185,8 @@ class Period2Spec:
     k: int
 
     def __post_init__(self):
-        for name in ("n", "k"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "n", _integer(self.n, "n", least=2))
+        object.__setattr__(self, "k", _integer(self.k, "k"))
         if self.shape not in (ONE_CYCLE, TWO_CYCLE):
             raise QuiverError(f"unknown shape {self.shape!r}")
         if not 2 <= self.k <= self.n:
@@ -293,9 +293,25 @@ def is_period1(B: ExchangeMatrix) -> bool:
 
 def is_period2(B: ExchangeMatrix, spec: Period2Spec) -> bool:
     """Whether sigma mu_k mu_1 (Q) = Q for the given sigma-shape and k."""
+    return _period2_mu1(B, spec) is not None
+
+
+def _period2_mu1(B: ExchangeMatrix, spec: Period2Spec) -> ExchangeMatrix | None:
+    """mu_1(B) if sigma mu_k mu_1 (B) = B, else None: row i of mu_k(mu_1(B))
+    against (b[sigma(i)][sigma(j)])_j, up to the first row that differs (the
+    last row follows from the others by skew-symmetry), building no matrix."""
     if B.n != spec.n:
         raise QuiverError(f"degree mismatch: matrix {B.n}, spec {spec.n}")
-    return permute(mutate(mutate(B, 1), spec.k), spec.sigma()) == B
+    B1 = mutate(B, 1)
+    k0 = spec.k - 1
+    pivot = B1.rows[k0]
+    s = [t - 1 for t in spec.sigma().image]
+    read = operator.itemgetter(*s)  # n >= 2, so it returns a tuple
+    for i, row in enumerate(B1.rows[:-1]):
+        mu = tuple(-x for x in row) if i == k0 else _mutate_row(row, pivot, k0)
+        if mu != read(B.rows[s[i]]):
+            return None
+    return B1
 
 
 def period1_from_row(row: Sequence[int]) -> ExchangeMatrix:
@@ -330,17 +346,16 @@ def mu1_partner(
     the one with k' = spec.partner_k().
 
     The relabeling is the inverse of i -> i+k-1 (mod n); for the two-cycle
-    shape a second relabeling, the cycle (k',...,n), moves the mutation vertex
-    to k'.
+    shape it is followed by the cycle (k',...,n), which moves the mutation
+    vertex to k'.
     """
-    B1 = mutate(B, 1)
-    if permute(mutate(B1, spec.k), spec.sigma()) != B:
+    if (B1 := _period2_mu1(B, spec)) is None:
         raise Period2Error("input does not satisfy its period-2 equation")
     n, kp = spec.n, spec.partner_k()
-    B2 = permute(B1, Permutation.rotation(n) ** (1 - spec.k))
+    s = Permutation.rotation(n) ** (1 - spec.k)
     if spec.shape == TWO_CYCLE:
-        B2 = permute(B2, Permutation.from_cycles(n, [list(range(kp, n + 1))]))
-    return B2, Period2Spec(n, spec.shape, kp)
+        s = Permutation.from_cycles(n, [list(range(kp, n + 1))]).compose(s)
+    return permute(B1, s), Period2Spec(n, spec.shape, kp)
 
 
 def is_connected(B: ExchangeMatrix) -> bool:

@@ -29,6 +29,7 @@ from .quiver import (
     Period2Spec,
     QuiverError,
     _integer,
+    _period2_mu1,
     is_period2,
     mutate,
 )
@@ -144,6 +145,13 @@ class SystemSpec:
                     if type(e) is not int or e < 0:
                         raise QuiverError(f"bad exponent {e!r} at {slot}")
 
+    @staticmethod
+    def _unchecked(*values) -> "SystemSpec":
+        """No check: for a system built from a checked matrix and spec."""
+        sys = object.__new__(SystemSpec)
+        sys.__dict__.update(zip(("kind", "spec", "B0", "eq1", "eq2"), values))
+        return sys
+
     def equations(self) -> tuple[EquationSpec, EquationSpec]:
         return self.eq1, self.eq2
 
@@ -248,14 +256,11 @@ class SystemSpec:
         )
 
 
-def _checked(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> tuple[str, ExchangeMatrix]:
-    """The upper-cased kind and B(1) = mu_1(B), once kind and B are checked."""
+def _kind(kind: str) -> str:
     kind = kind.upper()
     if kind not in ("T", "Y", "TZ"):
         raise QuiverError(f"unknown system kind {kind!r}")
-    if not is_period2(B, spec):
-        raise Period2Error("matrix does not satisfy the period-2 equation")
-    return kind, mutate(B, 1)
+    return kind
 
 
 def extract_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSpec:
@@ -269,7 +274,9 @@ def extract_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSpe
     sequence l at v = spec.vertex_at(idx - 2p).  Positive values go to plus,
     negative ones to minus.
     """
-    kind, B1 = _checked(B, spec, kind)
+    kind = _kind(kind)
+    if (B1 := _period2_mu1(B, spec)) is None:
+        raise Period2Error("matrix does not satisfy the period-2 equation")
     k, m = spec.k, spec.n - spec.k
     # the last z and y offsets of each equation; z starts at 1, y at idx
     last = {
@@ -297,7 +304,7 @@ def extract_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSpe
                 elif b < 0:
                     minus[seq, p] = -b
         eqs.append(EquationSpec(((seq0, 0), (out, off)), plus, minus))
-    return SystemSpec(kind, spec, B, *eqs)
+    return SystemSpec._unchecked(kind, spec, B, *eqs)
 
 
 def _slot(u: int) -> Slot:
@@ -315,8 +322,10 @@ def tabulate_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSp
     every lambda is at most 2n - 1, so the equation at u scans only the 2n - 2
     times v in (u, u + 2n - 1).
     """
-    kind, B1 = _checked(B, spec, kind)
-    n = spec.n
+    kind = _kind(kind)
+    if not is_period2(B, spec):
+        raise Period2Error("matrix does not satisfy the period-2 equation")
+    n, B1 = spec.n, mutate(B, 1)
     expo = h_exponent if kind in ("T", "TZ") else g_exponent
 
     def build(u: int) -> EquationSpec:
@@ -333,7 +342,7 @@ def tabulate_system(B: ExchangeMatrix, spec: Period2Spec, kind: str) -> SystemSp
                 minus[slot] = minus.get(slot, 0) + hm
         return EquationSpec((_slot(u), _slot(u + lam_plus)), plus, minus)
 
-    return SystemSpec(kind, spec, B, build(0), build(1))
+    return SystemSpec._unchecked(kind, spec, B, build(0), build(1))
 
 
 # ---------------------------------------------------------------------------

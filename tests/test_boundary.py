@@ -13,6 +13,7 @@ import quiverperiod.families as fm
 from quiverperiod import (
     BUILTIN_TEMPLATES,
     ONE_CYCLE,
+    TWO_CYCLE,
     ExchangeMatrix,
     Period2Spec,
     QuiverError,
@@ -196,6 +197,7 @@ def test_count_arguments_take_integers(case):
 # shape; the SearchJob fields and the s86 reducer's own least values as well
 BELOW_LEAST = {
     **BAD_COUNTS,
+    "spec-n": (lambda x: Period2Spec(x, ONE_CYCLE, 2), "n", 2),
     "job-bound": (lambda x: SearchJob(SPEC, x), "bound", 1),
     "job-jobs": (lambda x: SearchJob(SPEC, 2, jobs=x), "jobs", 1),
     "somos_reduce-s86-param": (
@@ -210,6 +212,28 @@ def test_count_below_its_least_value_is_refused(case):
     call, name, least = BELOW_LEAST[case]
     with pytest.raises(QuiverError, match=rf"^{name} must be >= {least}, got {least - 1}$"):
         call(least - 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, -3])
+def test_spec_n_is_refused_before_k_is_read(n):
+    with pytest.raises(QuiverError, match=rf"^n must be >= 2, got {n}$"):
+        Period2Spec(n, TWO_CYCLE, 2)
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (5, 1), (5, 6)])
+def test_spec_k_out_of_range_keeps_its_message(n, k):
+    with pytest.raises(QuiverError, match=rf"^k={k} out of range for n={n}$"):
+        Period2Spec(n, ONE_CYCLE, k)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (-1, r"^max_param must be >= 0, got -1$"),
+    (1.5, r"^max_param must be an integer$"),
+])
+def test_iter_instances_refuses_max_param_at_the_call(bad, message):
+    # refused when called, before any instance is asked for
+    with pytest.raises(QuiverError, match=message):
+        fm.iter_instances(fm.FAMILY_BY_KEY["n4-k2-1"], bad)
 
 
 def test_spec_and_job_take_numpy_integers():

@@ -179,6 +179,13 @@ class TestSearchCommand:
         assert out == ""
         assert err == f"error: jobs must be >= 1, got {jobs}\n"
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_n_below_two_is_blamed_on_n(self, n, capsys):
+        code, out, err = run_cli(
+            ["search", "--n", n, "--shape", "1cycle", "--k", "2", "--bound", "1"], capsys
+        )
+        assert (code, out, err) == (2, "", f"error: n must be >= 2, got {n}\n")
+
     def test_jobs_zero_means_default(self, monkeypatch, capsys):
         monkeypatch.delenv("QUIVERPERIOD_JOBS", raising=False)
         args = ["search", "--n", "3", "--shape", "1cycle", "--k", "2", "--bound", "1"]

@@ -28,7 +28,16 @@ from quiverperiod import (
     tabulate_system,
 )
 
-from oracles import arrow_mutate, permutation_power_direct, permute_direct
+import quiverperiod.families as fm
+
+from oracles import (
+    all_matrices,
+    arrow_mutate,
+    permutation_power_direct,
+    permute_direct,
+    residual_direct,
+    upper_pairs,
+)
 
 MARKOV = ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
 
@@ -183,8 +192,6 @@ class TestPermute:
             permute(MARKOV, Permutation.identity(4))
 
     def test_matches_double_loop(self):
-        import quiverperiod.families as fm
-
         last_of_each_n = {spec.n: B for _, spec, B in fm.regression_instances(2)}
         for B in [MARKOV, *(last_of_each_n[n] for n in (3, 4, 5))]:
             for image in permutations(range(1, B.n + 1)):
@@ -233,6 +240,41 @@ class TestPeriod2Predicate:
         assert Period2Spec(5, TWO_CYCLE, 3).sigma().image == (2, 1, 4, 5, 3)
         assert Period2Spec(4, TWO_CYCLE, 2).sigma().image == (1, 3, 4, 2)
 
+    # the predicate against the arrow-count residual of tests/oracles.py, which
+    # shares no code with quiver.mutate
+    @pytest.mark.parametrize("n, bound", [(3, 2), (4, 1)])
+    def test_matches_residual_oracle_on_every_bounded_matrix(self, n, bound):
+        specs = [Period2Spec(n, shape, k) for shape in (ONE_CYCLE, TWO_CYCLE)
+                 for k in range(2, n + 1)]
+        found = 0
+        for B in all_matrices(n, bound):
+            for spec in specs:
+                want = not any(residual_direct(B, spec))
+                assert is_period2(B, spec) == want, (spec, B.flatten())
+                found += want
+        assert found  # some solutions, so both answers are exercised
+
+    def test_matches_residual_oracle_on_perturbed_instances(self):
+        # every instance, and every one-entry +-1 change of it, so the
+        # check meets a first differing row at each row index
+        checked = 0
+        for fid, spec, B in fm.regression_instances(1):
+            assert is_period2(B, spec) and not any(residual_direct(B, spec)), str(fid)
+            for (i, j) in upper_pairs(spec.n):
+                for step in (1, -1):
+                    rows = [list(r) for r in B.rows]
+                    rows[i - 1][j - 1] += step
+                    rows[j - 1][i - 1] -= step
+                    C = ExchangeMatrix.from_rows(rows)
+                    assert is_period2(C, spec) == (not any(residual_direct(C, spec))), (
+                        str(fid), i, j, step)
+                    checked += 1
+        assert checked > 1000
+
+    def test_degree_mismatch(self):
+        with pytest.raises(QuiverError, match=r"^degree mismatch: matrix 4, spec 3$"):
+            is_period2(ExchangeMatrix.zero(4), Period2Spec(3, ONE_CYCLE, 2))
+
 
 class TestPeriod1:
     def test_construction_row_n3(self):
@@ -267,8 +309,6 @@ class TestPeriod1:
     def test_equivalence_small(self):
         # every period-1 matrix has a palindromic first row and equals the
         # construction from that row; exhaustive for n <= 4, |b| <= 2
-        from oracles import all_matrices
-
         for n in (2, 3, 4):
             for B in all_matrices(n, 2):
                 row = B.first_row()
@@ -296,9 +336,24 @@ class TestMu1Partner:
         assert Period2Spec(5, TWO_CYCLE, 3).partner_k() == 4
         assert Period2Spec(4, TWO_CYCLE, 2).partner_k() == 4
 
-    def test_double_partner_isomorphic(self):
-        import quiverperiod.families as fm
+    def test_matches_two_step_oracle_route(self):
+        # arrow-count mutation at 1, then the rotation by 1 - k and, for the
+        # two-cycle shape, the cycle (k',...,n), each by the double loop
+        for fid, spec, B in fm.regression_instances(1):
+            n, kp = spec.n, spec.partner_k()
+            want = permute_direct(
+                arrow_mutate(B, 1), permutation_power_direct(Permutation.rotation(n), 1 - spec.k)
+            )
+            if spec.shape == TWO_CYCLE:
+                want = permute_direct(want, Permutation.from_cycles(n, [list(range(kp, n + 1))]))
+            assert mu1_partner(B, spec) == (want, Period2Spec(n, spec.shape, kp)), str(fid)
 
+    def test_degree_mismatch_is_not_a_period2_error(self):
+        with pytest.raises(QuiverError, match=r"^degree mismatch: matrix 4, spec 3$") as info:
+            mu1_partner(ExchangeMatrix.zero(4), Period2Spec(3, ONE_CYCLE, 2))
+        assert not isinstance(info.value, Period2Error)
+
+    def test_double_partner_isomorphic(self):
         rng = random.Random(3)
         instances = fm.regression_instances(2)
         for fid, spec, B in rng.sample(instances, 25):

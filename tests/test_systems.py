@@ -12,6 +12,7 @@ from quiverperiod import (
     TWO_CYCLE,
     EquationSpec,
     ExchangeMatrix,
+    Period2Error,
     Period2Spec,
     QuiverError,
     SearchJob,
@@ -130,6 +131,27 @@ class TestExponents:
 CLOSED_FORMS_DIGEST = "7cf6159c1e0f20ab1c0ef233e4e3bf00b3ba769e034ff473d9b9d2f731a164b4"
 
 
+_N3 = fm.FAMILY_BY_KEY["n3-k2-2"]
+_SINGLE_ARROW = ExchangeMatrix.from_entries(3, {(1, 2): 1})
+# case: (arguments, the exact error type, its message); the kind is checked
+# before the matrix
+REFUSALS = {
+    "not-period2": (
+        (_SINGLE_ARROW, _N3.spec, "T"), Period2Error,
+        r"^matrix does not satisfy the period-2 equation$",
+    ),
+    "degree-mismatch": (
+        (_N3.matrix(), Period2Spec(4, ONE_CYCLE, 2), "Y"), QuiverError,
+        r"^degree mismatch: matrix 3, spec 4$",
+    ),
+    "unknown-kind": ((_N3.matrix(), _N3.spec, "Q"), QuiverError, r"^unknown system kind 'Q'$"),
+    "unknown-kind-first": (
+        (_SINGLE_ARROW, Period2Spec(4, ONE_CYCLE, 2), "x"), QuiverError,
+        r"^unknown system kind 'X'$",
+    ),
+}
+
+
 class TestExtract:
     def test_first4node_t_system(self):
         sys, family = tsys("n4-k2-1", n=2)
@@ -212,6 +234,24 @@ class TestExtract:
                 sys = extract_system(B, spec, kind)
                 rows.append((sys.to_dict(), sys.text()))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == CLOSED_FORMS_DIGEST
+
+    @pytest.mark.parametrize("kind", ["T", "Y"])
+    def test_built_systems_pass_the_checked_constructor(self, kind):
+        # both routes build their systems unchecked; the checked constructor
+        # must accept each of them as it is
+        for fid, spec, B in fm.regression_instances(2):
+            for build in (extract_system, tabulate_system):
+                s = build(B, spec, kind.lower())
+                assert type(s) is SystemSpec and (s.kind, s.spec, s.B0) == (kind, spec, B)
+                assert s == SystemSpec(s.kind, s.spec, s.B0, s.eq1, s.eq2), (str(fid), build)
+
+    @pytest.mark.parametrize("build", [extract_system, tabulate_system])
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusals_keep_their_messages(self, build, case):
+        args, error, message = REFUSALS[case]
+        with pytest.raises(QuiverError, match=message) as info:
+            build(*args)
+        assert type(info.value) is error
 
     def test_round_trip_dict(self):
         sys, _ = tsys("n5-k2-5", p=2)
